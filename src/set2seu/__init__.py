@@ -5,7 +5,6 @@ from .campaign import (
     FaultSpaceReport,
     SfiPlan,
     build_campaign,
-    compare_methods,
     fault_space_total,
     random_multibit_space,
     sfi_sample_size,
@@ -24,7 +23,6 @@ from .netlist import (
     CircuitStats,
     NetlistError,
     circuit_from_json,
-    circuit_stats,
     circuit_to_json,
     parse_bench,
     to_bench,
@@ -39,7 +37,6 @@ from .propagation import (
     encode_cnf,
     enumerate_patterns,
     optimize_sets,
-    sat_solve,
 )
 from .solver import SAT, UNKNOWN, UNSAT, CdclSolver, SolveResult, solve_cnf
 
@@ -68,11 +65,9 @@ __all__ = [
     "build_campaign",
     "build_miter",
     "circuit_from_json",
-    "circuit_stats",
     "circuit_to_json",
     "collect_cone_sets",
     "collect_static_sets",
-    "compare_methods",
     "cone_ff_set",
     "encode_cnf",
     "enumerate_fault_sites",
@@ -84,7 +79,6 @@ __all__ = [
     "optimize_sets",
     "parse_bench",
     "random_multibit_space",
-    "sat_solve",
     "sfi_sample_size",
     "simulate",
     "solve_cnf",

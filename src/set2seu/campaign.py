@@ -12,7 +12,6 @@ from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
 from .ffsets import SetCollection
-from .netlist import Circuit
 
 # two-sided normal cut-off per confidence level
 T_VALUES = {"90": 1.645, "95": 1.96, "99.8": 3.09}
@@ -182,17 +181,6 @@ class CampaignReport:
                 row.append(str(n))
             lines.append(",".join(row))
         return "\n".join(lines) + "\n"
-
-
-def compare_methods(
-    c: Circuit,
-    static: SetCollection,
-    optimized: SetCollection,
-    margins=DEFAULT_MARGINS,
-    confidence: float = 95,
-) -> CampaignReport:
-    """Assemble the three-method comparison with SFI plans per margin."""
-    return build_campaign(len(c.flipflops), static, optimized, margins, confidence)
 
 
 def build_campaign(

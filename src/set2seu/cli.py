@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -37,7 +37,6 @@ class RunConfig:
     confidence: float = 95.0
     out: str = "out"
     jobs: int = 1
-    seed: int = 0
     verbose: bool = False
     export_cnf: bool = False
 
@@ -78,7 +77,7 @@ def _coerce(key: str, val: str):
         return tuple(v.strip() for v in val.split(",") if v.strip())
     if key == "margins":
         return tuple(float(v) for v in val.split(",") if v.strip())
-    if key in ("pattern_cap", "conflict_cap", "jobs", "seed"):
+    if key in ("pattern_cap", "conflict_cap", "jobs"):
         return int(val)
     if key == "confidence":
         return float(val)
@@ -118,20 +117,7 @@ def load_circuit(cfg: RunConfig) -> netlist.Circuit:
     return c
 
 
-def _stats_json(c: netlist.Circuit) -> dict:
-    s = c.stats()
-    return {
-        "num_ffs": s.num_ffs,
-        "num_gates": s.num_gates,
-        "num_pis": s.num_pis,
-        "num_pos": s.num_pos,
-        "num_nets": s.num_nets,
-    }
-
-
-def sets_json(
-    c: netlist.Circuit, sites: list[cones.FaultSite], static: ffsets.SetCollection
-) -> dict:
+def sets_json(c: netlist.Circuit, static: ffsets.SetCollection) -> dict:
     cone_rows = []
     for f in c.flipflops:
         members = cones.cone_ff_set(c, f.id)
@@ -143,7 +129,7 @@ def sets_json(
             }
         )
     return {
-        "circuit": _stats_json(c),
+        "circuit": asdict(c.stats()),
         "ffs": [f.name for f in c.flipflops],
         "cones": cone_rows,
         "num_sets": static.num_sets,
@@ -180,7 +166,30 @@ def patterns_json(
         if r.overflow or r.unknown:
             row["fallback"] = [c.flipflops[f].name for f in r.static_ffs.members]
         rows.append(row)
-    return {"circuit": _stats_json(c), "ffs": [f.name for f in c.flipflops], "sites": rows}
+    return {"circuit": asdict(c.stats()), "ffs": [f.name for f in c.flipflops], "sites": rows}
+
+
+def patterns_from_json(
+    data: dict, static: ffsets.SetCollection
+) -> dict[str, propagation.PatternResult]:
+    """Inverse of patterns_json; each site's fallback is its set in `static`."""
+    idx = {n: i for i, n in enumerate(static.ff_names)}
+    static_of = dict(static.raw_sets)
+    results = {}
+    for row in data["sites"]:
+        site = row["site"]
+        results[site] = propagation.PatternResult(
+            site=site,
+            patterns=tuple(
+                propagation.DifferencePattern(site, ffsets.ffset(idx[m] for m in p))
+                for p in row["patterns"]
+            ),
+            complete=row["complete"],
+            overflow=row["overflow"],
+            unknown=row["unknown"],
+            static_ffs=static_of[site],
+        )
+    return results
 
 
 def run_propagation(
@@ -189,20 +198,13 @@ def run_propagation(
     work = [s for s in sites if s.static_ffs]
     log(f"propagate: {len(work)} sites (cap {cfg.pattern_cap}, jobs {cfg.jobs})")
     t0 = time.monotonic()
-    if cfg.verbose and cfg.jobs == 1:
-        results = {}
-        for s in work:
-            ts = time.monotonic()
-            r = propagation.enumerate_patterns(c, s, cfg.pattern_cap, cfg.conflict_cap)
-            results[r.site] = r
+    results = propagation.analyze_sites(c, sites, cfg.pattern_cap, cfg.conflict_cap, cfg.jobs)
+    if cfg.verbose:
+        for r in results.values():
             log(
                 f"  site {r.site}: {len(r.patterns)} patterns"
-                f"{' overflow' if r.overflow else ''} in {time.monotonic() - ts:.3f}s"
+                f"{' overflow' if r.overflow else ''} in {r.seconds:.3f}s"
             )
-    else:
-        results = propagation.analyze_sites(
-            c, sites, cfg.pattern_cap, cfg.conflict_cap, cfg.jobs
-        )
     n_over = sum(1 for r in results.values() if r.overflow)
     log(f"propagate: done in {time.monotonic() - t0:.2f}s, {n_over} overflowed")
     if cfg.export_cnf:
@@ -218,19 +220,17 @@ def run_propagation(
 def build_report(
     cfg: RunConfig,
     c_stats: dict,
-    num_ffs: int,
     static: ffsets.SetCollection,
-    optimized: ffsets.SetCollection,
-    overflow_sites: int,
-    unknown_sites: int,
+    results: dict[str, propagation.PatternResult],
 ) -> tuple[dict, campaign.CampaignReport]:
+    optimized = propagation.optimize_sets(static, results)
     report = campaign.build_campaign(
-        num_ffs, static, optimized, cfg.margins, cfg.confidence
+        len(static.ff_names), static, optimized, cfg.margins, cfg.confidence
     )
     body = report.to_json()
     body["circuit"] = c_stats
-    body["overflow_sites"] = overflow_sites
-    body["unknown_sites"] = unknown_sites
+    body["overflow_sites"] = sum(1 for r in results.values() if r.overflow)
+    body["unknown_sites"] = sum(1 for r in results.values() if r.unknown)
     body["config"] = {
         "mode": cfg.mode,
         "exclude": list(cfg.exclude),
@@ -239,7 +239,6 @@ def build_report(
         "margins": list(cfg.margins),
         "confidence": cfg.confidence,
         "jobs": cfg.jobs,
-        "seed": cfg.seed,
     }
     body["generated_at"] = datetime.now(timezone.utc).isoformat()
     return body, report
@@ -271,7 +270,7 @@ def run_pipeline(cfg: RunConfig, stage: str = "report") -> int:
         f"max multiplicity {static.max_multiplicity}"
     )
     if stage == "sets":
-        _write_json(outdir / "sets.json", sets_json(c, site_list, static))
+        _write_json(outdir / "sets.json", sets_json(c, static))
         _write_text(outdir / "sets.csv", ffsets.collection_to_csv(static))
         log(f"wrote {outdir / 'sets.json'}, {outdir / 'sets.csv'}")
         return EXIT_OK
@@ -282,20 +281,11 @@ def run_pipeline(cfg: RunConfig, stage: str = "report") -> int:
         log(f"wrote {outdir / 'patterns.json'}")
         return EXIT_OK
 
-    optimized = propagation.optimize_sets(static, results)
-    body, report = build_report(
-        cfg,
-        _stats_json(c),
-        len(c.flipflops),
-        static,
-        optimized,
-        overflow_sites=sum(1 for r in results.values() if r.overflow),
-        unknown_sites=sum(1 for r in results.values() if r.unknown),
-    )
+    body, report = build_report(cfg, asdict(c.stats()), static, results)
     if stage == "run":
         _write_json(outdir / "cones.json", cones.cones_to_json(c))
         _write_json(outdir / "sites.json", cones.sites_to_json(c, site_list))
-        _write_json(outdir / "sets.json", sets_json(c, site_list, static))
+        _write_json(outdir / "sets.json", sets_json(c, static))
         _write_text(outdir / "sets.csv", ffsets.collection_to_csv(static))
         _write_json(outdir / "patterns.json", patterns_json(c, site_list, results))
     _write_json(outdir / "report.json", body)
@@ -326,32 +316,21 @@ def report_from_artifacts(cfg: RunConfig) -> int:
         return EXIT_MISSING_STAGE
     sets_data = json.loads(sets_path.read_text())
     pat_data = json.loads(patterns_path.read_text())
+    if pat_data["ffs"] != sets_data["ffs"]:
+        raise ValueError(f"{patterns_path} and {sets_path} list different flip-flops")
+    if [r["site"] for r in pat_data["sites"]] != [r["site"] for r in sets_data["raw"]]:
+        raise ValueError(f"{patterns_path} and {sets_path} list different fault sites")
     ff_names = tuple(sets_data["ffs"])
     idx = {n: i for i, n in enumerate(ff_names)}
-
-    def to_set(members: list[str]) -> ffsets.FFSet:
-        return ffsets.ffset(idx[m] for m in members)
-
     static = ffsets.SetCollection(
         ff_names,
-        tuple((row["site"], to_set(row["members"])) for row in sets_data["raw"]),
+        tuple(
+            (row["site"], ffsets.ffset(idx[m] for m in row["members"]))
+            for row in sets_data["raw"]
+        ),
     )
-    raw = []
-    for row in pat_data["sites"]:
-        if row["overflow"] or row["unknown"]:
-            raw.append((row["site"], to_set(row["fallback"])))
-        else:
-            raw.extend((row["site"], to_set(p)) for p in row["patterns"])
-    optimized = ffsets.SetCollection(ff_names, tuple(raw))
-    body, report = build_report(
-        cfg,
-        sets_data["circuit"],
-        sets_data["circuit"]["num_ffs"],
-        static,
-        optimized,
-        overflow_sites=sum(1 for r in pat_data["sites"] if r["overflow"]),
-        unknown_sites=sum(1 for r in pat_data["sites"] if r["unknown"]),
-    )
+    results = patterns_from_json(pat_data, static)
+    body, report = build_report(cfg, sets_data["circuit"], static, results)
     _write_json(outdir / "report.json", body)
     _write_text(outdir / "report.csv", report.to_csv())
     log(f"wrote {outdir / 'report.json'}, {outdir / 'report.csv'}")
@@ -388,7 +367,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--confidence", type=float)
     common.add_argument("--out", help="output directory (default: out)")
     common.add_argument("--jobs", type=int)
-    common.add_argument("--seed", type=int)
     common.add_argument("--verbose", action="store_true", default=None)
     common.add_argument(
         "--export-cnf",

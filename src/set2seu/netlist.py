@@ -173,10 +173,6 @@ class Circuit:
         )
 
 
-def circuit_stats(c: Circuit) -> CircuitStats:
-    return c.stats()
-
-
 # -- construction / validation ------------------------------------------
 
 

@@ -8,6 +8,8 @@ cheap; the hard support-size precondition keeps it from being misused.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .cones import FaultSite, relevant_closure, site_support
@@ -74,8 +76,14 @@ def simulate(
 # -- bit-parallel sweep ----------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def _var_mask(v: int, k: int) -> int:
-    """Bit i of the result is (i >> v) & 1, over all i < 2**k."""
+    """Bit i of the result is (i >> v) & 1, over all i < 2**k.
+
+    Cached: building a mask costs a big-int multiply of 2**k bits, and every
+    sweep of width k needs the same k masks.  All masks for k <= 20 take
+    about 5 MB.
+    """
     width = 1 << k
     window = 1 << (v + 1)
     ones = ((1 << (1 << v)) - 1) << (1 << v)

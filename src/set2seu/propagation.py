@@ -10,12 +10,13 @@ achievable upset patterns exactly.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 from .cones import FaultSite, relevant_closure, site_support
 from .ffsets import FFSet, SetCollection
 from .netlist import Circuit
-from .solver import SAT, UNKNOWN, UNSAT, CdclSolver, SolveResult, to_dimacs
+from .solver import UNKNOWN, UNSAT, CdclSolver, to_dimacs
 
 DEFAULT_PATTERN_CAP = 4096
 DEFAULT_CONFLICT_CAP = 10**6
@@ -69,6 +70,7 @@ class PatternResult:
     overflow: bool
     unknown: bool
     static_ffs: FFSet                          # fallback when overflow/unknown
+    seconds: float = field(default=0.0, compare=False)  # wall time of the analysis
 
     def effective_sets(self) -> tuple[FFSet, ...]:
         """Sets this site contributes to the optimized collection.
@@ -153,7 +155,7 @@ def gate_clauses(kind: str, out: int, ins: list[int], new_var) -> list[tuple[int
         for nxt in ins[1:-1]:
             aux = new_var()
             clauses += _xor2(aux, acc, nxt)
-            acc = nxt2 = aux
+            acc = aux
         last = ins[-1]
         if kind == "XOR":
             clauses += _xor2(out, acc, last)
@@ -238,17 +240,6 @@ def encode_cnf(m: MiterInstance, c: Circuit) -> CnfFormula:
     return formula
 
 
-def sat_solve(
-    f: CnfFormula,
-    assumptions: tuple[int, ...] = (),
-    conflict_limit: int | None = DEFAULT_CONFLICT_CAP,
-) -> SolveResult:
-    s = CdclSolver(f.num_vars)
-    for cl in f.clauses:
-        s.add_clause(cl)
-    return s.solve(assumptions, conflict_limit)
-
-
 def enumerate_patterns(
     c: Circuit,
     site: FaultSite,
@@ -264,6 +255,7 @@ def enumerate_patterns(
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
+    t0 = time.perf_counter()
     site_name = c.net_names[site.site_net]
     static = FFSet(site.static_ffs)
     m = build_miter(c, site)
@@ -299,6 +291,7 @@ def enumerate_patterns(
         overflow=overflow,
         unknown=unknown,
         static_ffs=static,
+        seconds=time.perf_counter() - t0,
     )
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -69,9 +70,12 @@ def test_stage_composition_equals_full_run(tmp_path):
     )
 
 
-def test_report_consumes_stage_artifacts(tmp_path):
+@pytest.mark.parametrize("fixture", ["divergent3", "b01ish", "fanout_demo", "cone_chain"])
+def test_report_consumes_stage_artifacts(tmp_path, fixture):
+    # b01ish, fanout_demo and cone_chain have sites whose patterns nest, so the
+    # staged report must keep only each site's maximal patterns, as run does.
     out = tmp_path / "out"
-    src = DATA / "divergent3.bench"
+    src = DATA / f"{fixture}.bench"
     for cmd in ["sets", "propagate"]:
         assert run_cli([cmd, "--input", src, "--out", out]) == EXIT_OK
     assert run_cli(["report", "--out", out]) == EXIT_OK
@@ -80,6 +84,26 @@ def test_report_consumes_stage_artifacts(tmp_path):
     assert strip_timestamp((out / "report.json").read_text()) == strip_timestamp(
         (fresh / "report.json").read_text()
     )
+
+
+def test_report_rejects_mismatched_artifacts(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out, fixture in ((a, "divergent3"), (b, "b01ish")):
+        assert run_cli(["propagate", "--input", DATA / f"{fixture}.bench", "--out", out]) == EXIT_OK
+        assert run_cli(["sets", "--input", DATA / f"{fixture}.bench", "--out", out]) == EXIT_OK
+    pa, pb = (a / "patterns.json").read_bytes(), (b / "patterns.json").read_bytes()
+    (a / "patterns.json").write_bytes(pb)
+    (b / "patterns.json").write_bytes(pa)
+    for out in (a, b):
+        proc = subprocess.run(
+            [sys.executable, "-m", "set2seu", "report", "--out", str(out)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == EXIT_PARSE
+        assert "Traceback" not in proc.stderr
+        assert "patterns.json" in proc.stderr and "sets.json" in proc.stderr
+        assert not (out / "report.json").exists()
 
 
 def test_missing_upstream_artifact_exit_4(tmp_path):
@@ -204,12 +228,17 @@ def test_all_nets_mode_runs(tmp_path):
     assert {s["site_net"] for s in collapsed} <= {s["site_net"] for s in all_sites}
 
 
-def test_verbose_per_site_timing_on_stderr(tmp_path, capsys):
-    out = tmp_path / "out"
-    rc = run_cli(["propagate", "--input", DATA / "wire.bench", "--out", out, "--verbose"])
-    assert rc == EXIT_OK
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_verbose_per_site_timing_on_stderr(tmp_path, capsys, jobs):
+    out, quiet = tmp_path / "out", tmp_path / "quiet"
+    src = DATA / "divergent3.bench"
+    assert run_cli(["propagate", "--input", src, "--out", out, "--jobs", jobs, "--verbose"]) == EXIT_OK
     err = capsys.readouterr().err
-    assert "site x:" in err
+    assert run_cli(["propagate", "--input", src, "--out", quiet, "--jobs", jobs]) == EXIT_OK
+    analysed = [row["site"] for row in read_json(out / "patterns.json")["sites"]]
+    logged = re.findall(r"^\[set2seu\]\s+site (\S+): \d+ patterns.* in \d+\.\d{3}s$", err, re.M)
+    assert analysed and sorted(logged) == sorted(analysed)
+    assert (out / "patterns.json").read_bytes() == (quiet / "patterns.json").read_bytes()
 
 
 def test_overflow_flag_keeps_exit_zero(tmp_path):

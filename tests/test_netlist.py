@@ -3,7 +3,6 @@ import pytest
 from set2seu import (
     NetlistError,
     circuit_from_json,
-    circuit_stats,
     circuit_to_json,
     parse_bench,
     to_bench,
@@ -36,23 +35,23 @@ def test_three_gate_chain_counts():
 
 def test_stats_empty_circuit():
     c = parse_bench("")
-    assert circuit_stats(c).astuple() == (0, 0, 0, 0, 0)
+    assert c.stats().astuple() == (0, 0, 0, 0, 0)
 
 
 def test_stats_smallest():
     # nets are a, b, g and the FF output f
     c = parse_bench(SMALLEST)
-    assert circuit_stats(c).astuple() == (1, 1, 2, 1, 4)
+    assert c.stats().astuple() == (1, 1, 2, 1, 4)
 
 
 def test_stats_b01ish_ff_count(b01ish):
-    assert circuit_stats(b01ish).num_ffs == 5
+    assert b01ish.stats().num_ffs == 5
 
 
 def test_excluded_counted_in_nets():
     c = parse_bench(SMALLEST, exclude=["a"])
     assert c.net_id("a") in c.excluded
-    assert circuit_stats(c).num_nets == 4
+    assert c.stats().num_nets == 4
 
 
 def test_unknown_exclude_name_rejected():
@@ -112,14 +111,14 @@ def test_bench_round_trip(name, request):
     c = request.getfixturevalue(name)
     c2 = parse_bench(to_bench(c))
     assert _shape(c) == _shape(c2)
-    assert circuit_stats(c) == circuit_stats(c2)
+    assert c.stats() == c2.stats()
 
 
 def test_json_round_trip(fanout_demo):
     data = circuit_to_json(fanout_demo)
     c2 = circuit_from_json(data)
     assert _shape(fanout_demo) == _shape(c2)
-    assert circuit_stats(fanout_demo) == circuit_stats(c2)
+    assert fanout_demo.stats() == c2.stats()
 
 
 def test_topo_order_valid_and_stable(b01ish):

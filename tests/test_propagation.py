@@ -14,7 +14,6 @@ from set2seu.propagation import (
     export_site_cnf,
     gate_clauses,
     optimize_sets,
-    sat_solve,
 )
 from set2seu.random_circuits import make_random_circuit
 from set2seu.solver import SAT, UNSAT, parse_dimacs, solve_cnf
@@ -113,16 +112,16 @@ def test_nets_outside_fanout_are_shared(fanout_demo):
             assert f.faulty_lit(net) == f.good_vars[net]
 
 
-# -- sat_solve over encoded formulas -------------------------------------------
+# -- solve_cnf over encoded formulas -------------------------------------------
 
 
 def test_sat_solve_assumption_api(divergent):
     s = sites_by_name(divergent)["x"]
     f = encode_cnf(build_miter(divergent, s), divergent)
-    res = sat_solve(f)
+    res = solve_cnf(f.num_vars, f.clauses)
     assert res.status == SAT  # some difference or none; formula is satisfiable
     both = [f.diff_vars[0], f.diff_vars[1]]
-    res2 = sat_solve(f, assumptions=tuple(both))
+    res2 = solve_cnf(f.num_vars, f.clauses, assumptions=tuple(both))
     assert res2.status == UNSAT  # both FFs can never differ together
 
 
