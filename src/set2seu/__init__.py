@@ -14,7 +14,6 @@ from .cones import (
     FaultSite,
     cone_ff_set,
     enumerate_fault_sites,
-    extract_fanin_cone,
     static_ff_set,
 )
 from .ffsets import FFSet, SetCollection, collect_cone_sets, collect_static_sets, merge_collections
@@ -73,7 +72,6 @@ __all__ = [
     "enumerate_fault_sites",
     "enumerate_patterns",
     "exhaustive_patterns",
-    "extract_fanin_cone",
     "fault_space_total",
     "merge_collections",
     "optimize_sets",

@@ -118,16 +118,11 @@ def load_circuit(cfg: RunConfig) -> netlist.Circuit:
 
 
 def sets_json(c: netlist.Circuit, static: ffsets.SetCollection) -> dict:
-    cone_rows = []
-    for f in c.flipflops:
-        members = cones.cone_ff_set(c, f.id)
-        cone_rows.append(
-            {
-                "cone": f.name,
-                "members": [c.flipflops[m].name for m in members],
-                "multiplicity": len(members),
-            }
-        )
+    per_cone = ffsets.collect_cone_sets(c)
+    cone_rows = [
+        {"cone": f.name, "members": per_cone.member_names(s), "multiplicity": s.multiplicity}
+        for f, (_, s) in zip(c.flipflops, per_cone.raw_sets)
+    ]
     return {
         "circuit": asdict(c.stats()),
         "ffs": [f.name for f in c.flipflops],
@@ -169,8 +164,16 @@ def patterns_json(
     return {"circuit": asdict(c.stats()), "ffs": [f.name for f in c.flipflops], "sites": rows}
 
 
+def _read_ffset(idx: dict[str, int], names: list[str], path, site: str) -> ffsets.FFSet:
+    """The FFSet of flip-flop `names`; an unknown name is an error in `path` at `site`."""
+    try:
+        return ffsets.ffset(idx[n] for n in names)
+    except KeyError as e:
+        raise ValueError(f"{path}: site '{site}' names unknown flip-flop '{e.args[0]}'") from None
+
+
 def patterns_from_json(
-    data: dict, static: ffsets.SetCollection
+    data: dict, static: ffsets.SetCollection, path: Path
 ) -> dict[str, propagation.PatternResult]:
     """Inverse of patterns_json; each site's fallback is its set in `static`."""
     idx = {n: i for i, n in enumerate(static.ff_names)}
@@ -181,7 +184,7 @@ def patterns_from_json(
         results[site] = propagation.PatternResult(
             site=site,
             patterns=tuple(
-                propagation.DifferencePattern(site, ffsets.ffset(idx[m] for m in p))
+                propagation.DifferencePattern(site, _read_ffset(idx, p, path, site))
                 for p in row["patterns"]
             ),
             complete=row["complete"],
@@ -325,11 +328,11 @@ def report_from_artifacts(cfg: RunConfig) -> int:
     static = ffsets.SetCollection(
         ff_names,
         tuple(
-            (row["site"], ffsets.ffset(idx[m] for m in row["members"]))
+            (row["site"], _read_ffset(idx, row["members"], sets_path, row["site"]))
             for row in sets_data["raw"]
         ),
     )
-    results = patterns_from_json(pat_data, static)
+    results = patterns_from_json(pat_data, static, patterns_path)
     body, report = build_report(cfg, sets_data["circuit"], static, results)
     _write_json(outdir / "report.json", body)
     _write_text(outdir / "report.csv", report.to_csv())

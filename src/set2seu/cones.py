@@ -35,41 +35,24 @@ class FaultSite:
     po_only: bool                  # reaches primary outputs (or nothing) but no FF
 
 
-def extract_fanin_cone(c: Circuit, ff_id: int) -> FaninCone:
-    """Backward closure from the FF's D net.
-
-    member_nets: the D net plus every gate-output net feeding it without
-    crossing a flip-flop.  support: the PI / FF-Q boundary nets feeding the
-    cone (disjoint from member_nets; empty when the D net itself is the
-    boundary).
-    """
-    d = c.flipflops[ff_id].d_net
-    members: set[int] = {d}
-    support: set[int] = set()
-    stack = [d]
-    seen = {d}
-    while stack:
-        net = stack.pop()
-        kind, idx = c.driver[net]
-        if kind != "gate":
-            if net != d:
-                support.add(net)
-            continue
-        members.add(net)
-        for src in c.gates[idx].inputs:
-            if src not in seen:
-                seen.add(src)
-                stack.append(src)
-    return FaninCone(ff_id, frozenset(members), frozenset(support))
-
-
 def all_cones(c: Circuit) -> tuple[FaninCone, ...]:
-    # memoized on the circuit instance (immutable, so always valid)
-    cached = c.__dict__.get("_all_cones")
-    if cached is None:
-        cached = tuple(extract_fanin_cone(c, f.id) for f in c.flipflops)
-        c.__dict__["_all_cones"] = cached
-    return cached
+    """Every flip-flop's fan-in cone, read off `Circuit.ff_reach`.
+
+    A net lies in the cone closure of FF f iff it reaches f's D pin through
+    gates only.  member_nets: the D net plus the gate-output nets of the
+    closure.  support: its PI / FF-Q boundary nets (disjoint from
+    member_nets; empty when the D net itself is the boundary).
+    """
+    members: list[set[int]] = [{f.d_net} for f in c.flipflops]
+    support: list[set[int]] = [set() for _ in c.flipflops]
+    for net, mask in enumerate(c.ff_reach):
+        is_gate = c.driver[net][0] == "gate"
+        for f in _set_bits(mask):
+            (members if is_gate else support)[f].add(net)
+    return tuple(
+        FaninCone(f.id, frozenset(members[f.id]), frozenset(support[f.id] - {f.d_net}))
+        for f in c.flipflops
+    )
 
 
 def cone_closure(cone: FaninCone) -> frozenset[int]:
@@ -90,22 +73,19 @@ def cone_ff_set(c: Circuit, ff_id: int) -> tuple[int, ...]:
     Equals {g : cone(g) intersects cone(ff_id)}; this is the per-cone
     upset set (worst case over the cone's nets).
     """
-    cone = all_cones(c)[ff_id]
-    mask = 0
-    for net in cone.member_nets | cone.support:
-        mask |= c.ff_reach[net]
-    return _decode_mask(mask)
+    return _decode_mask(c.cone_reach[ff_id])
+
+
+def _set_bits(mask: int):
+    """Indices of the set bits of `mask`, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _decode_mask(mask: int) -> tuple[int, ...]:
-    out = []
-    f = 0
-    while mask:
-        if mask & 1:
-            out.append(f)
-        mask >>= 1
-        f += 1
-    return tuple(out)
+    return tuple(_set_bits(mask))
 
 
 def _region_heads(c: Circuit) -> dict[int, int]:
@@ -191,22 +171,17 @@ def site_support(c: Circuit, site: FaultSite) -> tuple[int, ...]:
     closures; these are the variables the good/faulty comparison is
     quantified over.
     """
-    cones = all_cones(c)
-    free: set[int] = set()
-    for f in site.static_ffs:
-        for net in cone_closure(cones[f]):
-            if c.driver[net][0] != "gate":
-                free.add(net)
-    return tuple(sorted(free))
+    mask = sum(1 << f for f in site.static_ffs)
+    return tuple(
+        net for net, r in enumerate(c.ff_reach)
+        if r & mask and c.driver[net][0] != "gate"
+    )
 
 
 def relevant_closure(c: Circuit, site: FaultSite) -> frozenset[int]:
     """Union of the affected FFs' cone closures (the analysis region)."""
-    cones = all_cones(c)
-    nets: set[int] = set()
-    for f in site.static_ffs:
-        nets |= cone_closure(cones[f])
-    return frozenset(nets)
+    mask = sum(1 << f for f in site.static_ffs)
+    return frozenset(net for net, r in enumerate(c.ff_reach) if r & mask)
 
 
 # -- JSON views -----------------------------------------------------------

@@ -86,12 +86,8 @@ def collect_static_sets(c: Circuit, sites: list[FaultSite]) -> SetCollection:
 def collect_cone_sets(c: Circuit) -> SetCollection:
     """One raw set per flip-flop cone (worst-case upset set of the cone)."""
     names = tuple(f.name for f in c.flipflops)
-    raw = []
-    for f in c.flipflops:
-        members = cone_ff_set(c, f.id)
-        if members:
-            raw.append((f"cone:{f.name}", FFSet(members)))
-    return SetCollection(names, tuple(raw))
+    raw = tuple((f"cone:{f.name}", FFSet(cone_ff_set(c, f.id))) for f in c.flipflops)
+    return SetCollection(names, raw)
 
 
 def merge_collections(a: SetCollection, b: SetCollection) -> SetCollection:

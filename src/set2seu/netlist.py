@@ -159,6 +159,22 @@ class Circuit:
                 reach[n] |= r
         return tuple(reach)
 
+    @cached_property
+    def cone_reach(self) -> tuple[int, ...]:
+        """Per flip-flop: OR of `ff_reach` over every net of its fan-in cone.
+
+        Bit g is set iff cone(g) and cone(f) share a net, i.e. a SET inside
+        f's cone can reach g.
+        """
+        back = list(self.ff_reach)
+        for gid in self.topo_gates:
+            g = self.gates[gid]
+            b = back[g.output]
+            for n in g.inputs:
+                b |= back[n]
+            back[g.output] = b
+        return tuple(back[f.d_net] for f in self.flipflops)
+
     def is_combinational(self, net: int) -> bool:
         """True for nets eligible as SET locations: PIs and gate outputs."""
         return self.driver[net][0] != "ff"

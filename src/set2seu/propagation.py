@@ -49,7 +49,6 @@ class MiterInstance:
 class CnfFormula:
     num_vars: int
     clauses: list[tuple[int, ...]]
-    annot: dict[int, str]                       # var -> "good net", "diff ff", ...
     good_vars: dict[int, int] = field(default_factory=dict)
     faulty_vars: dict[int, int] = field(default_factory=dict)
     diff_vars: dict[int, int] = field(default_factory=dict)
@@ -183,47 +182,27 @@ def encode_cnf(m: MiterInstance, c: Circuit) -> CnfFormula:
         counter += 1
         return counter
 
-    annot: dict[int, str] = {}
-    good: dict[int, int] = {}
-    for net in sorted(m.region_nets):
-        good[net] = new_var()
-        annot[good[net]] = f"good {c.net_names[net]}"
-    faulty: dict[int, int] = {}
-    for gid in m.dup_gates:
-        out = c.gates[gid].output
-        faulty[out] = new_var()
-        annot[faulty[out]] = f"faulty {c.net_names[out]}"
-    diff: dict[int, int] = {}
-    for f in m.ff_ids:
-        diff[f] = new_var()
-        annot[diff[f]] = f"diff {c.flipflops[f].name}"
-
+    good = {net: new_var() for net in sorted(m.region_nets)}
+    faulty = {c.gates[gid].output: new_var() for gid in m.dup_gates}
+    diff = {f: new_var() for f in m.ff_ids}
     formula = CnfFormula(
         num_vars=counter,
         clauses=[],
-        annot=annot,
         good_vars=good,
         faulty_vars=faulty,
         diff_vars=diff,
         site_net=m.site.site_net,
     )
 
-    def aux_var() -> int:
-        nonlocal counter
-        v = new_var()
-        annot[v] = "aux"
-        formula.num_vars = counter
-        return v
-
     cls = formula.clauses
     for gid in m.region_gates:
         g = c.gates[gid]
-        cls.extend(gate_clauses(g.kind, good[g.output], [good[n] for n in g.inputs], aux_var))
+        cls.extend(gate_clauses(g.kind, good[g.output], [good[n] for n in g.inputs], new_var))
     for gid in m.dup_gates:
         g = c.gates[gid]
         cls.extend(
             gate_clauses(
-                g.kind, faulty[g.output], [formula.faulty_lit(n) for n in g.inputs], aux_var
+                g.kind, faulty[g.output], [formula.faulty_lit(n) for n in g.inputs], new_var
             )
         )
     for f in m.ff_ids:
@@ -347,6 +326,9 @@ def export_site_cnf(c: Circuit, site: FaultSite) -> str:
     f = encode_cnf(m, c)
     clauses = list(f.clauses)
     clauses.append(tuple(f.diff_vars[ff] for ff in m.ff_ids))
+    label = {v: f"good {c.net_names[n]}" for n, v in f.good_vars.items()}
+    label.update({v: f"faulty {c.net_names[n]}" for n, v in f.faulty_vars.items()})
+    label.update({v: f"diff {c.flipflops[ff].name}" for ff, v in f.diff_vars.items()})
     comments = [f"miter for SET site {c.net_names[site.site_net]}"]
-    comments += [f"var {v}: {desc}" for v, desc in sorted(f.annot.items())]
+    comments += [f"var {v}: {label.get(v, 'aux')}" for v in range(1, f.num_vars + 1)]
     return to_dimacs(f.num_vars, clauses, comments)

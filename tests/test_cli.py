@@ -86,15 +86,42 @@ def test_report_consumes_stage_artifacts(tmp_path, fixture):
     )
 
 
-def test_report_rejects_mismatched_artifacts(tmp_path):
+def _swap_patterns(a, b):
+    pa, pb = (a / "patterns.json").read_bytes(), (b / "patterns.json").read_bytes()
+    (a / "patterns.json").write_bytes(pb)
+    (b / "patterns.json").write_bytes(pa)
+    return {out: ["patterns.json", "sets.json"] for out in (a, b)}
+
+
+def _unknown_pattern_ff(a, b):
+    path = b / "patterns.json"
+    data = read_json(path)
+    row = next(r for r in data["sites"] if r["patterns"])
+    row["patterns"][0] = ["nosuchff"]
+    path.write_text(json.dumps(data))
+    return {b: ["patterns.json", f"'{row['site']}'", "nosuchff"]}
+
+
+def _unknown_raw_ff(a, b):
+    path = b / "sets.json"
+    data = read_json(path)
+    row = data["raw"][0]
+    row["members"] = ["nosuchff"]
+    path.write_text(json.dumps(data))
+    return {b: ["sets.json", f"'{row['site']}'", "nosuchff"]}
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_swap_patterns, _unknown_pattern_ff, _unknown_raw_ff],
+    ids=["swapped", "unknown_pattern_ff", "unknown_raw_ff"],
+)
+def test_report_rejects_mismatched_artifacts(tmp_path, corrupt):
     a, b = tmp_path / "a", tmp_path / "b"
     for out, fixture in ((a, "divergent3"), (b, "b01ish")):
         assert run_cli(["propagate", "--input", DATA / f"{fixture}.bench", "--out", out]) == EXIT_OK
         assert run_cli(["sets", "--input", DATA / f"{fixture}.bench", "--out", out]) == EXIT_OK
-    pa, pb = (a / "patterns.json").read_bytes(), (b / "patterns.json").read_bytes()
-    (a / "patterns.json").write_bytes(pb)
-    (b / "patterns.json").write_bytes(pa)
-    for out in (a, b):
+    for out, expected in corrupt(a, b).items():
         proc = subprocess.run(
             [sys.executable, "-m", "set2seu", "report", "--out", str(out)],
             capture_output=True,
@@ -102,7 +129,8 @@ def test_report_rejects_mismatched_artifacts(tmp_path):
         )
         assert proc.returncode == EXIT_PARSE
         assert "Traceback" not in proc.stderr
-        assert "patterns.json" in proc.stderr and "sets.json" in proc.stderr
+        for text in expected:
+            assert text in proc.stderr
         assert not (out / "report.json").exists()
 
 

@@ -8,7 +8,6 @@ from set2seu.cones import (
     cone_closure,
     cone_ff_set,
     enumerate_fault_sites,
-    extract_fanin_cone,
     static_ff_set,
 )
 from set2seu.netlist import NetlistError
@@ -23,8 +22,24 @@ def ff_names(c, ids):
     return [c.flipflops[f].name for f in ids]
 
 
+def backward_closure(c, ff_id):
+    """Reference cone closure: walk back from the D pin, stopping at PIs and FF Qs."""
+    d = c.flipflops[ff_id].d_net
+    seen = {d}
+    stack = [d]
+    while stack:
+        kind, idx = c.driver[stack.pop()]
+        if kind != "gate":
+            continue
+        for src in c.gates[idx].inputs:
+            if src not in seen:
+                seen.add(src)
+                stack.append(src)
+    return seen
+
+
 def test_degenerate_cone_d_is_pi(wire):
-    cone = extract_fanin_cone(wire, 0)
+    cone = all_cones(wire)[0]
     # boundary net doubles as the D net: it is the single member, no gates
     assert names(wire, cone.member_nets) == ["x"]
     assert cone.support == frozenset()
@@ -32,14 +47,14 @@ def test_degenerate_cone_d_is_pi(wire):
 
 def test_degenerate_cone_d_is_ff_output():
     c = parse_bench("INPUT(a)\nq1 = DFF(a)\nq2 = DFF(q1)\nOUTPUT(q2)")
-    cone = extract_fanin_cone(c, 1)
+    cone = all_cones(c)[1]
     assert names(c, cone.member_nets) == ["q1"]
     assert cone.support == frozenset()
 
 
 def test_two_gate_chain_cone():
     c = parse_bench("INPUT(p)\nINPUT(q)\nn1 = NOT(p)\nn2 = AND(n1, q)\nf = DFF(n2)\nOUTPUT(f)")
-    cone = extract_fanin_cone(c, 0)
+    cone = all_cones(c)[0]
     assert names(c, cone.member_nets) == ["n1", "n2"]
     assert names(c, cone.support) == ["p", "q"]
 
@@ -131,11 +146,18 @@ def test_collapsed_regions_partition_combinational_nets(seed):
 @pytest.mark.parametrize("seed", range(8))
 def test_cone_reach_duality(seed):
     c = make_random_circuit(seed * 7 + 1, n_pis=3, n_ffs=4, n_gates=15)
-    cones = all_cones(c)
+    closures = [backward_closure(c, f.id) for f in c.flipflops]
+    for k, closure in zip(all_cones(c), closures):
+        d = c.flipflops[k.ff_id].d_net
+        assert k.member_nets == {n for n in closure if n == d or c.driver[n][0] == "gate"}
+        assert k.support == closure - k.member_nets
     for net in range(c.num_nets):
         fwd = set(static_ff_set(c, net))
-        bwd = {k.ff_id for k in cones if net in cone_closure(k)}
+        bwd = {f for f, closure in enumerate(closures) if net in closure}
         assert fwd == bwd
+    for f, closure in enumerate(closures):
+        overlapping = {g for g, other in enumerate(closures) if other & closure}
+        assert set(cone_ff_set(c, f)) == overlapping
 
 
 @pytest.mark.parametrize("seed", range(8))
