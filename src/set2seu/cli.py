@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -65,25 +66,34 @@ def config_from_file(path: str) -> dict:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         key, _, val = line.partition("=")
         key = key.strip().replace("-", "_")
-        val = val.strip()
         if key not in names:
             raise ValueError(f"{path}:{lineno}: unknown config key '{key}'")
-        values[key] = _coerce(key, val)
+        try:
+            values[key] = _coerce(key, val.strip())
+        except ValueError as e:
+            raise ValueError(f"{path}:{lineno}: {e}") from None
     return values
 
 
+_TYPES = {
+    "pattern_cap": int, "conflict_cap": int, "jobs": int, "confidence": float, "margins": float
+}
+
+
 def _coerce(key: str, val: str):
-    if key == "exclude":
-        return tuple(v.strip() for v in val.split(",") if v.strip())
-    if key == "margins":
-        return tuple(float(v) for v in val.split(",") if v.strip())
-    if key in ("pattern_cap", "conflict_cap", "jobs"):
-        return int(val)
-    if key == "confidence":
-        return float(val)
+    """The value of setting `key` written as text, in a flag or a config line."""
     if key in ("verbose", "export_cnf"):
+        if val.lower() not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+            raise ValueError(f"setting '{key}': '{val}' is not true or false")
         return val.lower() in ("1", "true", "yes", "on")
-    return val
+    kind = _TYPES.get(key, str)
+    try:
+        if key in ("exclude", "margins"):
+            return tuple(kind(v.strip()) for v in val.split(",") if v.strip())
+        return kind(val)
+    except ValueError:
+        what = "an integer" if kind is int else "numeric"
+        raise ValueError(f"setting '{key}': '{val}' is not {what}") from None
 
 
 def log(msg: str) -> None:
@@ -137,16 +147,9 @@ def sets_json(c: netlist.Circuit, static: ffsets.SetCollection) -> dict:
     }
 
 
-def patterns_json(
-    c: netlist.Circuit,
-    sites: list[cones.FaultSite],
-    results: dict[str, propagation.PatternResult],
-) -> dict:
+def patterns_json(c: netlist.Circuit, results: dict[str, propagation.PatternResult]) -> dict:
     rows = []
-    for s in sites:
-        if not s.static_ffs:
-            continue
-        r = results[c.net_names[s.site_net]]
+    for r in results.values():
         names = sorted(
             ([c.flipflops[f].name for f in p.ffs.members] for p in r.patterns),
             key=lambda m: (len(m), m),
@@ -165,11 +168,24 @@ def patterns_json(
 
 
 def _read_ffset(idx: dict[str, int], names: list[str], path, site: str) -> ffsets.FFSet:
-    """The FFSet of flip-flop `names`; an unknown name is an error in `path` at `site`."""
+    """The FFSet of flip-flop `names`; an empty list or an unknown name is an error in `path`."""
+    if not names:
+        raise ValueError(f"{path}: site '{site}' has an empty flip-flop list")
     try:
         return ffsets.ffset(idx[n] for n in names)
     except KeyError as e:
         raise ValueError(f"{path}: site '{site}' names unknown flip-flop '{e.args[0]}'") from None
+
+
+@contextmanager
+def _reading(path: Path):
+    """Turn a missing key or a wrong type met while reading artifact `path` into a ValueError."""
+    try:
+        yield
+    except KeyError as e:
+        raise ValueError(f"{path}: missing key {e}") from None
+    except (TypeError, json.JSONDecodeError) as e:
+        raise ValueError(f"{path}: malformed: {e}") from None
 
 
 def patterns_from_json(
@@ -181,16 +197,17 @@ def patterns_from_json(
     results = {}
     for row in data["sites"]:
         site = row["site"]
+        flags = {k: row[k] for k in ("complete", "overflow", "unknown")}
+        if not all(isinstance(v, bool) for v in flags.values()):
+            raise TypeError(f"site '{site}': complete, overflow and unknown must be true or false")
         results[site] = propagation.PatternResult(
             site=site,
             patterns=tuple(
                 propagation.DifferencePattern(site, _read_ffset(idx, p, path, site))
                 for p in row["patterns"]
             ),
-            complete=row["complete"],
-            overflow=row["overflow"],
-            unknown=row["unknown"],
             static_ffs=static_of[site],
+            **flags,
         )
     return results
 
@@ -247,50 +264,15 @@ def build_report(
     return body, report
 
 
-def run_pipeline(cfg: RunConfig, stage: str = "report") -> int:
-    """Run the pipeline up to `stage`, writing that stage's artifacts."""
-    cfg.validate()
+def write_report(
+    cfg: RunConfig,
+    c_stats: dict,
+    static: ffsets.SetCollection,
+    results: dict[str, propagation.PatternResult],
+) -> int:
+    """Write report.json/csv and log the totals, warning when Eq-1 grows."""
+    body, report = build_report(cfg, c_stats, static, results)
     outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-
-    c = load_circuit(cfg)
-    if stage == "parse":
-        _write_json(outdir / "circuit.json", netlist.circuit_to_json(c))
-        log(f"wrote {outdir / 'circuit.json'}")
-        return EXIT_OK
-
-    site_list = cones.enumerate_fault_sites(c, cfg.mode)
-    log(f"cones: {len(c.flipflops)} cones, {len(site_list)} fault sites ({cfg.mode})")
-    if stage == "cones":
-        _write_json(outdir / "cones.json", cones.cones_to_json(c))
-        _write_json(outdir / "sites.json", cones.sites_to_json(c, site_list))
-        log(f"wrote {outdir / 'cones.json'}, {outdir / 'sites.json'}")
-        return EXIT_OK
-
-    static = ffsets.collect_static_sets(c, site_list)
-    log(
-        f"sets: {static.num_sets} sets, {static.num_unique} unique, "
-        f"max multiplicity {static.max_multiplicity}"
-    )
-    if stage == "sets":
-        _write_json(outdir / "sets.json", sets_json(c, static))
-        _write_text(outdir / "sets.csv", ffsets.collection_to_csv(static))
-        log(f"wrote {outdir / 'sets.json'}, {outdir / 'sets.csv'}")
-        return EXIT_OK
-
-    results = run_propagation(cfg, c, site_list)
-    if stage == "propagate":
-        _write_json(outdir / "patterns.json", patterns_json(c, site_list, results))
-        log(f"wrote {outdir / 'patterns.json'}")
-        return EXIT_OK
-
-    body, report = build_report(cfg, asdict(c.stats()), static, results)
-    if stage == "run":
-        _write_json(outdir / "cones.json", cones.cones_to_json(c))
-        _write_json(outdir / "sites.json", cones.sites_to_json(c, site_list))
-        _write_json(outdir / "sets.json", sets_json(c, static))
-        _write_text(outdir / "sets.csv", ffsets.collection_to_csv(static))
-        _write_json(outdir / "patterns.json", patterns_json(c, site_list, results))
     _write_json(outdir / "report.json", body)
     _write_text(outdir / "report.csv", report.to_csv())
     log(
@@ -302,8 +284,51 @@ def run_pipeline(cfg: RunConfig, stage: str = "report") -> int:
             "warning: propagated total exceeds static total; per-set counting "
             "double-counts overlapping combinations on this circuit"
         )
-    log(f"wrote artifacts to {outdir}")
+    log(f"wrote {outdir / 'report.json'}, {outdir / 'report.csv'}")
     return EXIT_OK
+
+
+def run_pipeline(cfg: RunConfig, stage: str = "report") -> int:
+    """Run the pipeline up to `stage`, writing each stage's artifacts as it
+    finishes: only that stage's, or every stage's when `stage` is "run"."""
+    outdir = Path(cfg.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+
+    c = load_circuit(cfg)
+    if stage == "parse":
+        _write_json(outdir / "circuit.json", netlist.circuit_to_json(c))
+        log(f"wrote {outdir / 'circuit.json'}")
+        return EXIT_OK
+
+    site_list = cones.enumerate_fault_sites(c, cfg.mode)
+    log(f"cones: {len(c.flipflops)} cones, {len(site_list)} fault sites ({cfg.mode})")
+    if stage in ("cones", "run"):
+        _write_json(outdir / "cones.json", cones.cones_to_json(c))
+        _write_json(outdir / "sites.json", cones.sites_to_json(c, site_list))
+        log(f"wrote {outdir / 'cones.json'}, {outdir / 'sites.json'}")
+    if stage == "cones":
+        return EXIT_OK
+
+    static = ffsets.collect_static_sets(c, site_list)
+    log(
+        f"sets: {static.num_sets} sets, {static.num_unique} unique, "
+        f"max multiplicity {static.max_multiplicity}"
+    )
+    if stage in ("sets", "run"):
+        _write_json(outdir / "sets.json", sets_json(c, static))
+        _write_text(outdir / "sets.csv", ffsets.collection_to_csv(static))
+        log(f"wrote {outdir / 'sets.json'}, {outdir / 'sets.csv'}")
+    if stage == "sets":
+        return EXIT_OK
+
+    results = run_propagation(cfg, c, site_list)
+    if stage in ("propagate", "run"):
+        _write_json(outdir / "patterns.json", patterns_json(c, results))
+        log(f"wrote {outdir / 'patterns.json'}")
+    if stage == "propagate":
+        return EXIT_OK
+
+    return write_report(cfg, asdict(c.stats()), static, results)
 
 
 def report_from_artifacts(cfg: RunConfig) -> int:
@@ -317,27 +342,26 @@ def report_from_artifacts(cfg: RunConfig) -> int:
     if not patterns_path.exists():
         log("missing upstream artifact for stage 'propagate' (patterns.json)")
         return EXIT_MISSING_STAGE
-    sets_data = json.loads(sets_path.read_text())
-    pat_data = json.loads(patterns_path.read_text())
-    if pat_data["ffs"] != sets_data["ffs"]:
-        raise ValueError(f"{patterns_path} and {sets_path} list different flip-flops")
-    if [r["site"] for r in pat_data["sites"]] != [r["site"] for r in sets_data["raw"]]:
-        raise ValueError(f"{patterns_path} and {sets_path} list different fault sites")
-    ff_names = tuple(sets_data["ffs"])
-    idx = {n: i for i, n in enumerate(ff_names)}
-    static = ffsets.SetCollection(
-        ff_names,
-        tuple(
-            (row["site"], _read_ffset(idx, row["members"], sets_path, row["site"]))
-            for row in sets_data["raw"]
-        ),
-    )
-    results = patterns_from_json(pat_data, static, patterns_path)
-    body, report = build_report(cfg, sets_data["circuit"], static, results)
-    _write_json(outdir / "report.json", body)
-    _write_text(outdir / "report.csv", report.to_csv())
-    log(f"wrote {outdir / 'report.json'}, {outdir / 'report.csv'}")
-    return EXIT_OK
+    with _reading(sets_path):
+        sets_data = json.loads(sets_path.read_text())
+        ff_names = tuple(sets_data["ffs"])
+        idx = {n: i for i, n in enumerate(ff_names)}
+        static = ffsets.SetCollection(
+            ff_names,
+            tuple(
+                (row["site"], _read_ffset(idx, row["members"], sets_path, row["site"]))
+                for row in sets_data["raw"]
+            ),
+        )
+        c_stats = sets_data["circuit"]
+    with _reading(patterns_path):
+        pat_data = json.loads(patterns_path.read_text())
+        if tuple(pat_data["ffs"]) != ff_names:
+            raise ValueError(f"{patterns_path} and {sets_path} list different flip-flops")
+        if [r["site"] for r in pat_data["sites"]] != [ref for ref, _ in static.raw_sets]:
+            raise ValueError(f"{patterns_path} and {sets_path} list different fault sites")
+        results = patterns_from_json(pat_data, static, patterns_path)
+    return write_report(cfg, c_stats, static, results)
 
 
 def sfi_only(cfg: RunConfig, population: int) -> int:
@@ -364,17 +388,17 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--input", help=".bench or circuit .json netlist")
     common.add_argument("--mode", choices=["collapsed", "all_nets"])
     common.add_argument("--exclude", help="comma-separated net names (clock/reset)")
-    common.add_argument("--pattern-cap", type=int, dest="pattern_cap")
-    common.add_argument("--conflict-cap", type=int, dest="conflict_cap")
+    common.add_argument("--pattern-cap", dest="pattern_cap")
+    common.add_argument("--conflict-cap", dest="conflict_cap")
     common.add_argument("--margins", help="comma-separated error margins")
-    common.add_argument("--confidence", type=float)
+    common.add_argument("--confidence")
     common.add_argument("--out", help="output directory (default: out)")
-    common.add_argument("--jobs", type=int)
-    common.add_argument("--verbose", action="store_true", default=None)
+    common.add_argument("--jobs")
+    common.add_argument("--verbose", action="store_const", const="true")
     common.add_argument(
         "--export-cnf",
-        action="store_true",
-        default=None,
+        action="store_const",
+        const="true",
         dest="export_cnf",
         help="also write one DIMACS file per analyzed site",
     )
@@ -404,13 +428,8 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         values.update(config_from_file(args.config))
     for f in fields(RunConfig):
         v = getattr(args, f.name, None)
-        if v is None:
-            continue
-        if f.name == "exclude":
-            v = tuple(s.strip() for s in v.split(",") if s.strip())
-        elif f.name == "margins":
-            v = tuple(float(s) for s in v.split(",") if s.strip())
-        values[f.name] = v
+        if v is not None:
+            values[f.name] = _coerce(f.name, v)
     return replace(RunConfig(), **values)
 
 

@@ -88,32 +88,20 @@ def _decode_mask(mask: int) -> tuple[int, ...]:
     return tuple(_set_bits(mask))
 
 
-def _region_heads(c: Circuit) -> dict[int, int]:
-    """Map each SET-eligible net to its fan-out-free region head.
+def _region_heads(c: Circuit) -> list[int]:
+    """Map each net to its fan-out-free region head.
 
     A net is its own head when it has fan-out >= 2 (stem), drives a FF D
     pin, or has no gate/FF sink at all (dangling or PO-only).  Otherwise it
-    has exactly one gate sink and inherits that gate's output's head.
+    has exactly one gate sink and inherits that gate's output's head, which
+    the reverse topological order has already settled.
     """
-    heads: dict[int, int] = {}
-
-    def head_of(net: int) -> int:
-        path = []
-        cur = net
-        while cur not in heads:
-            if c.fanout_count[cur] != 1 or c.fanout_ffs[cur]:
-                heads[cur] = cur
-                break
-            path.append(cur)
-            cur = c.gates[c.fanout_gates[cur][0]].output
-        h = heads[cur]
-        for n in path:
-            heads[n] = h
-        return h
-
-    for net in range(c.num_nets):
-        if c.is_combinational(net):
-            head_of(net)
+    heads = list(range(c.num_nets))
+    for gid in reversed(c.topo_gates):
+        g = c.gates[gid]
+        for n in g.inputs:
+            if c.fanout_count[n] == 1 and not c.fanout_ffs[n]:
+                heads[n] = heads[g.output]
     return heads
 
 

@@ -87,9 +87,6 @@ class Circuit:
         except KeyError:
             raise NetlistError(f"unknown net '{name}'") from None
 
-    def net_name(self, net: int) -> str:
-        return self.net_names[net]
-
     @property
     def num_nets(self) -> int:
         return len(self.net_names)
@@ -130,10 +127,6 @@ class Circuit:
         return tuple(
             len(self.fanout_gates[n]) + len(self.fanout_ffs[n]) for n in range(self.num_nets)
         )
-
-    @cached_property
-    def po_set(self) -> frozenset[int]:
-        return frozenset(self.primary_outputs)
 
     @cached_property
     def topo_gates(self) -> tuple[int, ...]:

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import repeat
 
-from .cones import FaultSite, relevant_closure, site_support
+from .cones import FaultSite, relevant_closure
 from .ffsets import FFSet, SetCollection
 from .netlist import Circuit
 from .solver import UNKNOWN, UNSAT, CdclSolver, to_dimacs
@@ -33,16 +34,9 @@ class DifferencePattern:
 @dataclass(frozen=True)
 class MiterInstance:
     site: FaultSite
-    support_nets: tuple[int, ...]      # free PI / FF-Q variables
     region_nets: frozenset[int]        # everything the comparison depends on
-    downstream_nets: frozenset[int]    # nets whose faulty value may differ
     region_gates: tuple[int, ...]      # topo-ordered gate ids of the region
     dup_gates: tuple[int, ...]         # gates duplicated into the faulty copy
-    ff_ids: tuple[int, ...]
-
-    @property
-    def duplicated_gate_count(self) -> int:
-        return len(self.dup_gates)
 
 
 @dataclass
@@ -115,15 +109,7 @@ def build_miter(c: Circuit, site: FaultSite) -> MiterInstance:
         gid for gid in region_gates
         if c.gates[gid].output in down and c.gates[gid].output != site.site_net
     )
-    return MiterInstance(
-        site=site,
-        support_nets=site_support(c, site),
-        region_nets=region,
-        downstream_nets=frozenset(down),
-        region_gates=region_gates,
-        dup_gates=dup,
-        ff_ids=site.static_ffs,
-    )
+    return MiterInstance(site=site, region_nets=region, region_gates=region_gates, dup_gates=dup)
 
 
 # -- Tseitin encoding ------------------------------------------------------
@@ -184,7 +170,7 @@ def encode_cnf(m: MiterInstance, c: Circuit) -> CnfFormula:
 
     good = {net: new_var() for net in sorted(m.region_nets)}
     faulty = {c.gates[gid].output: new_var() for gid in m.dup_gates}
-    diff = {f: new_var() for f in m.ff_ids}
+    diff = {f: new_var() for f in m.site.static_ffs}
     formula = CnfFormula(
         num_vars=counter,
         clauses=[],
@@ -205,7 +191,7 @@ def encode_cnf(m: MiterInstance, c: Circuit) -> CnfFormula:
                 g.kind, faulty[g.output], [formula.faulty_lit(n) for n in g.inputs], new_var
             )
         )
-    for f in m.ff_ids:
+    for f in m.site.static_ffs:
         d_net = c.flipflops[f].d_net
         glit = good[d_net]
         flit = formula.faulty_lit(d_net)
@@ -242,7 +228,7 @@ def enumerate_patterns(
     solver = CdclSolver(f.num_vars)
     for cl in f.clauses:
         solver.add_clause(cl)
-    dvars = [f.diff_vars[ff] for ff in m.ff_ids]
+    dvars = [f.diff_vars[ff] for ff in m.site.static_ffs]
     solver.add_clause(dvars)  # some difference must be observed
 
     patterns: list[DifferencePattern] = []
@@ -260,7 +246,7 @@ def enumerate_patterns(
             overflow = True
             break
         model = res.model
-        members = tuple(ff for ff, dv in zip(m.ff_ids, dvars) if model[dv])
+        members = tuple(ff for ff, dv in zip(m.site.static_ffs, dvars) if model[dv])
         patterns.append(DifferencePattern(site_name, FFSet(members)))
         solver.add_clause([-dv if model[dv] else dv for dv in dvars])
     return PatternResult(
@@ -291,16 +277,11 @@ def analyze_sites(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as ex:
-            out = list(ex.map(_analyze_one, [(c, s, cap, conflict_limit) for s in work]))
-        return {r.site: r for r in out}
+            out = ex.map(enumerate_patterns, repeat(c), work, repeat(cap), repeat(conflict_limit))
+            return {r.site: r for r in out}
     return {
         r.site: r for r in (enumerate_patterns(c, s, cap, conflict_limit) for s in work)
     }
-
-
-def _analyze_one(args) -> PatternResult:
-    c, site, cap, conflict_limit = args
-    return enumerate_patterns(c, site, cap, conflict_limit)
 
 
 def optimize_sets(static: SetCollection, results: dict[str, PatternResult]) -> SetCollection:
@@ -325,7 +306,7 @@ def export_site_cnf(c: Circuit, site: FaultSite) -> str:
     m = build_miter(c, site)
     f = encode_cnf(m, c)
     clauses = list(f.clauses)
-    clauses.append(tuple(f.diff_vars[ff] for ff in m.ff_ids))
+    clauses.append(tuple(f.diff_vars[ff] for ff in m.site.static_ffs))
     label = {v: f"good {c.net_names[n]}" for n, v in f.good_vars.items()}
     label.update({v: f"faulty {c.net_names[n]}" for n, v in f.faulty_vars.items()})
     label.update({v: f"diff {c.flipflops[ff].name}" for ff, v in f.diff_vars.items()})

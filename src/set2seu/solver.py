@@ -36,11 +36,10 @@ def luby(i: int) -> int:
 
 
 class Clause(list):
-    __slots__ = ("learnt", "deleted")
+    __slots__ = ("deleted",)
 
-    def __init__(self, lits, learnt=False):
+    def __init__(self, lits):
         super().__init__(lits)
-        self.learnt = learnt
         self.deleted = False
 
 
@@ -138,7 +137,7 @@ class CdclSolver:
         self.watches[out[1]].append(cl)
 
     def _attach_learnt(self, lits: list[int]) -> Clause:
-        cl = Clause(lits, learnt=True)
+        cl = Clause(lits)
         self.learnts.append(cl)
         self.watches[lits[0]].append(cl)
         self.watches[lits[1]].append(cl)

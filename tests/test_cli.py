@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from set2seu.cli import EXIT_MISSING_STAGE, EXIT_OK, EXIT_PARSE, main
+from set2seu.netlist import to_bench
+from set2seu.random_circuits import corpus
 
 DATA = Path(__file__).parent / "data"
 
@@ -111,10 +113,50 @@ def _unknown_raw_ff(a, b):
     return {b: ["sets.json", f"'{row['site']}'", "nosuchff"]}
 
 
+def _empty_pattern(a, b):
+    path = b / "patterns.json"
+    data = read_json(path)
+    row = next(r for r in data["sites"] if r["patterns"])
+    row["patterns"][0] = []
+    path.write_text(json.dumps(data))
+    return {b: ["patterns.json", f"'{row['site']}'", "empty"]}
+
+
+def _empty_raw(a, b):
+    path = b / "sets.json"
+    data = read_json(path)
+    row = data["raw"][0]
+    row["members"] = []
+    path.write_text(json.dumps(data))
+    return {b: ["sets.json", f"'{row['site']}'", "empty"]}
+
+
+def _missing_key(a, b):
+    path = b / "patterns.json"
+    data = read_json(path)
+    del data["sites"][0]["complete"]
+    path.write_text(json.dumps(data))
+    return {b: ["patterns.json", "'complete'"]}
+
+
 @pytest.mark.parametrize(
     "corrupt",
-    [_swap_patterns, _unknown_pattern_ff, _unknown_raw_ff],
-    ids=["swapped", "unknown_pattern_ff", "unknown_raw_ff"],
+    [
+        _swap_patterns,
+        _unknown_pattern_ff,
+        _unknown_raw_ff,
+        _empty_pattern,
+        _empty_raw,
+        _missing_key,
+    ],
+    ids=[
+        "swapped",
+        "unknown_pattern_ff",
+        "unknown_raw_ff",
+        "empty_pattern",
+        "empty_raw",
+        "missing_key",
+    ],
 )
 def test_report_rejects_mismatched_artifacts(tmp_path, corrupt):
     a, b = tmp_path / "a", tmp_path / "b"
@@ -132,6 +174,24 @@ def test_report_rejects_mismatched_artifacts(tmp_path, corrupt):
         for text in expected:
             assert text in proc.stderr
         assert not (out / "report.json").exists()
+
+
+def test_staged_report_logs_totals_and_warning_like_run(tmp_path, capsys):
+    # corpus[30] of the acceptance corpus: Eq-1 grows from 46 to 76 there.
+    src = tmp_path / "corpus30.bench"
+    src.write_text(to_bench(corpus(12345, 200, max_gates=40, max_ffs=8, max_pis=6)[30]))
+    summary = "report: static 46 -> propagated 76 (random 63)"
+    warning = "warning: propagated total exceeds static total"
+    assert run_cli(["run", "--input", src, "--out", tmp_path / "full"]) == EXIT_OK
+    run_err = capsys.readouterr().err
+    assert summary in run_err and warning in run_err
+    out = tmp_path / "staged"
+    for cmd in ["sets", "propagate"]:
+        assert run_cli([cmd, "--input", src, "--out", out]) == EXIT_OK
+    capsys.readouterr()
+    assert run_cli(["report", "--out", out]) == EXIT_OK
+    err = capsys.readouterr().err
+    assert summary in err and warning in err
 
 
 def test_missing_upstream_artifact_exit_4(tmp_path):
@@ -186,6 +246,25 @@ def test_bad_config_key_rejected(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("frobnicate = 3\n")
     assert run_cli(["run", "--config", cfg]) == EXIT_PARSE
+
+
+@pytest.mark.parametrize(
+    "line, setting", [("pattern-cap = abc", "pattern_cap"), ("verbose = tru", "verbose")]
+)
+def test_bad_config_value_names_setting_file_and_line(tmp_path, capsys, line, setting):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"input = {DATA / 'wire.bench'}\n{line}\n")
+    assert run_cli(["run", "--config", cfg, "--out", tmp_path / "o"]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert f"{cfg}:2:" in err and setting in err and line.split(" = ")[1] in err
+
+
+def test_bad_flag_value_names_setting(tmp_path, capsys):
+    args = ["run", "--input", DATA / "wire.bench", "--out", tmp_path / "o", "--margins", "0.05,x"]
+    assert run_cli(args) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert "margins" in err and "0.05,x" in err
+    assert "could not convert" not in err
 
 
 def test_json_circuit_input_equivalent(tmp_path):

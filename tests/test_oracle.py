@@ -126,7 +126,7 @@ def test_simulation_agrees_with_cnf_models_on_random_assignments():
         n: False for n in range(c.num_nets) if c.driver[n][0] != "gate"
     }
     for _ in range(100):
-        bits = {net: rng.random() < 0.5 for net in m.support_nets}
+        bits = {net: rng.random() < 0.5 for net in site_support(c, site)}
         assumptions = [
             f.good_vars[net] if v else -f.good_vars[net] for net, v in bits.items()
         ]

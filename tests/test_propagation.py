@@ -1,7 +1,7 @@
 import pytest
 
 from set2seu import parse_bench
-from set2seu.cones import enumerate_fault_sites
+from set2seu.cones import enumerate_fault_sites, site_support
 from set2seu.ffsets import SetCollection, collect_static_sets, ffset
 from set2seu.oracle import exhaustive_patterns, simulate
 from set2seu.propagation import (
@@ -25,6 +25,18 @@ def sites_by_name(c):
 
 def pattern_set(result):
     return {p.ffs.members for p in result.patterns}
+
+
+def downstream(c, net):
+    """Nets reachable forward from `net` through gates, `net` included."""
+    down, todo = {net}, [net]
+    while todo:
+        for gid in c.fanout_gates[todo.pop()]:
+            out = c.gates[gid].output
+            if out not in down:
+                down.add(out)
+                todo.append(out)
+    return down
 
 
 # -- Tseitin blocks ----------------------------------------------------------
@@ -75,7 +87,7 @@ def test_wire_miter_diff_is_structurally_true(wire):
     s = sites_by_name(wire)["x"]
     m = build_miter(wire, s)
     f = encode_cnf(m, wire)
-    assert m.duplicated_gate_count == 0
+    assert len(m.dup_gates) == 0
     assert (f.diff_vars[0],) in [tuple(cl) for cl in f.clauses]
     r = enumerate_patterns(wire, s)
     assert pattern_set(r) == {(0,)}
@@ -87,7 +99,7 @@ def test_single_and_before_ff_duplicates_one_gate():
         x for x in enumerate_fault_sites(c, "all_nets") if c.net_names[x.site_net] == "s"
     )
     m = build_miter(c, site)
-    assert m.duplicated_gate_count == 1
+    assert len(m.dup_gates) == 1
 
 
 def test_fanout_demo_and1_has_four_diff_vars(fanout_demo):
@@ -107,8 +119,9 @@ def test_nets_outside_fanout_are_shared(fanout_demo):
     s = sites_by_name(fanout_demo)["or1"]
     m = build_miter(fanout_demo, s)
     f = encode_cnf(m, fanout_demo)
+    down = downstream(fanout_demo, s.site_net)
     for net in m.region_nets:
-        if net not in m.downstream_nets:
+        if net not in down:
             assert f.faulty_lit(net) == f.good_vars[net]
 
 
@@ -134,7 +147,7 @@ def test_model_decodes_to_consistent_simulation():
             m = build_miter(c, site)
             f = encode_cnf(m, c)
             clauses = list(f.clauses)
-            clauses.append([f.diff_vars[ff] for ff in m.ff_ids])
+            clauses.append([f.diff_vars[ff] for ff in site.static_ffs])
             res = solve_cnf(f.num_vars, clauses)
             if res.status != SAT:
                 continue
@@ -142,7 +155,7 @@ def test_model_decodes_to_consistent_simulation():
                 n: False for n in range(c.num_nets) if c.driver[n][0] != "gate"
             }
             assignment.update(
-                {net: res.model[f.good_vars[net]] for net in m.support_nets}
+                {net: res.model[f.good_vars[net]] for net in site_support(c, site)}
             )
             good = simulate(c, assignment)
             bad = simulate(c, assignment, forced_flip=site.site_net)
@@ -150,7 +163,7 @@ def test_model_decodes_to_consistent_simulation():
                 assert good[net] == res.model[f.good_vars[net]]
             for net, var in f.faulty_vars.items():
                 assert bad[net] == res.model[var]
-            for ff in m.ff_ids:
+            for ff in site.static_ffs:
                 d = c.flipflops[ff].d_net
                 assert res.model[f.diff_vars[ff]] == (good[d] != bad[d])
             break
