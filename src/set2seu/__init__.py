@@ -16,7 +16,7 @@ from .cones import (
     enumerate_fault_sites,
     static_ff_set,
 )
-from .ffsets import FFSet, SetCollection, collect_cone_sets, collect_static_sets, merge_collections
+from .ffsets import FFSet, SetCollection, collect_cone_sets, collect_static_sets
 from .netlist import (
     Circuit,
     CircuitStats,
@@ -73,7 +73,6 @@ __all__ = [
     "enumerate_patterns",
     "exhaustive_patterns",
     "fault_space_total",
-    "merge_collections",
     "optimize_sets",
     "parse_bench",
     "random_multibit_space",

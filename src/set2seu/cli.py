@@ -101,7 +101,9 @@ def log(msg: str) -> None:
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2) + "\n")
+    with path.open("w") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
 
 
 def _write_text(path: Path, text: str) -> None:

@@ -32,7 +32,11 @@ class FaultSite:
     kind: str                      # STEM or FFR_TERMINAL
     represented_nets: frozenset[int]
     static_ffs: tuple[int, ...]    # sorted ff ids reachable from site_net
-    po_only: bool                  # reaches primary outputs (or nothing) but no FF
+
+    @property
+    def po_only(self) -> bool:
+        """Reaches primary outputs (or nothing) but no FF."""
+        return not self.static_ffs
 
 
 def all_cones(c: Circuit) -> tuple[FaninCone, ...]:
@@ -53,11 +57,6 @@ def all_cones(c: Circuit) -> tuple[FaninCone, ...]:
         FaninCone(f.id, frozenset(members[f.id]), frozenset(support[f.id] - {f.d_net}))
         for f in c.flipflops
     )
-
-
-def cone_closure(cone: FaninCone) -> frozenset[int]:
-    """All nets whose transient can reach this FF: members plus support."""
-    return cone.member_nets | cone.support
 
 
 def static_ff_set(c: Circuit, net: int) -> tuple[int, ...]:
@@ -141,14 +140,12 @@ def enumerate_fault_sites(c: Circuit, mode: str = "collapsed") -> list[FaultSite
 
 
 def _make_site(c: Circuit, net: int, region: frozenset[int]) -> FaultSite:
-    ffs = static_ff_set(c, net)
     kind = FFR_TERMINAL if c.fanout_ffs[net] else STEM
     return FaultSite(
         site_net=net,
         kind=kind,
         represented_nets=region,
-        static_ffs=ffs,
-        po_only=not ffs,
+        static_ffs=static_ff_set(c, net),
     )
 
 

@@ -90,12 +90,6 @@ def collect_cone_sets(c: Circuit) -> SetCollection:
     return SetCollection(names, raw)
 
 
-def merge_collections(a: SetCollection, b: SetCollection) -> SetCollection:
-    if a.ff_names != b.ff_names:
-        raise ValueError("cannot merge collections over different FF universes")
-    return SetCollection(a.ff_names, a.raw_sets + b.raw_sets)
-
-
 def collection_to_json(coll: SetCollection) -> list[dict]:
     return [
         {

@@ -56,9 +56,6 @@ class CircuitStats:
     num_pos: int
     num_nets: int
 
-    def astuple(self) -> tuple[int, int, int, int, int]:
-        return (self.num_ffs, self.num_gates, self.num_pis, self.num_pos, self.num_nets)
-
 
 @dataclass(frozen=True)
 class Circuit:

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-import numpy as np
-
 from .cones import FaultSite, relevant_closure, site_support
 from .ffsets import FFSet
 from .netlist import Circuit
@@ -122,7 +120,7 @@ def exhaustive_patterns(
     Refuses (rather than samples) when the support exceeds the limit; the
     sweep is 2**k simulations of the affected region.
     """
-    if site.po_only or not site.static_ffs:
+    if not site.static_ffs:
         raise ValueError("site reaches no flip-flop; nothing to enumerate")
     support = site_support(c, site)
     k = len(support)
@@ -158,38 +156,34 @@ def exhaustive_patterns(
     site_name = c.net_names[site.site_net]
     return [
         DifferencePattern(site_name, FFSet(members))
-        for members in _distinct_patterns(diffs, site.static_ffs, 1 << k)
+        for members in _distinct_patterns(diffs, site.static_ffs, full)
     ]
 
 
 def _distinct_patterns(
-    diffs: list[int], ff_ids: tuple[int, ...], n_assign: int
+    diffs: list[int], ff_ids: tuple[int, ...], full: int
 ) -> list[tuple[int, ...]]:
-    """Distinct nonempty difference vectors, canonically sorted."""
-    if len(ff_ids) <= 63:
-        nbytes = (n_assign + 7) // 8
-        codes = np.zeros(n_assign, dtype=np.uint64)
-        for j, d in enumerate(diffs):
-            bits = np.unpackbits(
-                np.frombuffer(d.to_bytes(nbytes, "little"), dtype=np.uint8),
-                bitorder="little",
-            )[:n_assign]
-            codes |= bits.astype(np.uint64) << np.uint64(j)
-        uniq = [int(u) for u in np.unique(codes) if u]
-    else:  # unreachably wide for an exhaustive sweep, but stay correct
-        seen = set()
-        for i in range(n_assign):
-            code = 0
-            for j, d in enumerate(diffs):
-                if (d >> i) & 1:
-                    code |= 1 << j
-            if code:
-                seen.add(code)
-        uniq = sorted(seen)
+    """Distinct nonempty difference vectors, canonically sorted.
+
+    Partitions the assignments (the bits of `full`) by FF: each class is
+    split into the assignments where FF j differs (`hit`) and the rest.  The
+    nonempty classes left after the last FF are the distinct vectors.  The
+    stack replaces recursion, whose depth would be the FF count, and holds
+    at most one pending sibling per level.
+    """
     out = []
-    for code in uniq:
-        members = tuple(ff_ids[j] for j in range(len(ff_ids)) if (code >> j) & 1)
-        out.append(members)
+    stack = [(full, 0, ())]
+    while stack:
+        mask, j, members = stack.pop()
+        if j == len(ff_ids):
+            if members:
+                out.append(members)
+            continue
+        hit = mask & diffs[j]
+        if hit != mask:
+            stack.append((mask ^ hit, j + 1, members))
+        if hit:
+            stack.append((hit, j + 1, members + (ff_ids[j],)))
     out.sort(key=lambda m: (len(m), m))
     return out
 

@@ -92,7 +92,7 @@ def build_miter(c: Circuit, site: FaultSite) -> MiterInstance:
     Only the logic inside the affected flip-flops' fan-in cones matters for
     the comparison, so the encoding region is restricted to it.
     """
-    if site.po_only or not site.static_ffs:
+    if not site.static_ffs:
         raise ValueError(
             f"site '{c.net_names[site.site_net]}' reaches no flip-flop; nothing to analyze"
         )

@@ -310,6 +310,11 @@ def test_console_entry_point(tmp_path):
     assert {p["margin"]: p["n"] for p in data["plans"]}[0.05] == 220
 
 
+def test_cli_import_does_not_load_numpy():
+    code = "import sys, set2seu.cli; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True)
+
+
 def test_export_cnf_writes_dimacs_per_site(tmp_path):
     out = tmp_path / "out"
     rc = run_cli(

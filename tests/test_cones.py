@@ -5,7 +5,6 @@ from set2seu.cones import (
     FFR_TERMINAL,
     STEM,
     all_cones,
-    cone_closure,
     cone_ff_set,
     enumerate_fault_sites,
     static_ff_set,
@@ -61,7 +60,7 @@ def test_two_gate_chain_cone():
 
 def test_cone_chain_pairwise_intersections(cone_chain):
     c = cone_chain
-    closures = [cone_closure(k) for k in all_cones(c)]
+    closures = [k.member_nets | k.support for k in all_cones(c)]
     expect = {(0, 1): True, (1, 2): True, (2, 3): True, (0, 2): False, (0, 3): False, (1, 3): False}
     for (i, j), nonempty in expect.items():
         assert bool(closures[i] & closures[j]) == nonempty

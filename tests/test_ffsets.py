@@ -11,7 +11,6 @@ from set2seu.ffsets import (
     collection_to_csv,
     collection_to_json,
     ffset,
-    merge_collections,
 )
 
 UNIVERSE = ("A", "B", "C", "D")
@@ -59,33 +58,6 @@ def test_order_independence():
     shuffled = pairs[:]
     random.Random(7).shuffle(shuffled)
     assert coll(pairs).unique_sets == coll(shuffled).unique_sets
-
-
-def test_merge_identity_and_duplicates():
-    a = coll([("a", [0])])
-    empty = SetCollection(UNIVERSE, ())
-    merged = merge_collections(a, empty)
-    assert merged.unique_sets == a.unique_sets
-    assert merged.num_sets == a.num_sets
-    twice = merge_collections(a, coll([("b", [0])]))
-    assert twice.num_unique == 1
-    assert twice.num_sets == 2
-
-
-def test_merge_split_equals_one_shot():
-    rows = [("s1", [0, 1]), ("s2", [0, 1, 2]), ("s3", [1, 2, 3]), ("s4", [2, 3])]
-    merged = merge_collections(coll(rows[:2]), coll(rows[2:]))
-    single = coll(rows)
-    assert merged.unique_sets == single.unique_sets
-    assert merged.num_sets == single.num_sets
-    assert merged.max_multiplicity == single.max_multiplicity
-
-
-def test_merge_rejects_conflicting_universe():
-    a = coll([("a", [0])])
-    b = SetCollection(("X", "Y"), (("b", ffset([0])),))
-    with pytest.raises(ValueError):
-        merge_collections(a, b)
 
 
 def test_collect_static_skips_po_only(fanout_demo):

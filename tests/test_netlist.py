@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import pytest
 
 from set2seu import (
@@ -35,13 +37,13 @@ def test_three_gate_chain_counts():
 
 def test_stats_empty_circuit():
     c = parse_bench("")
-    assert c.stats().astuple() == (0, 0, 0, 0, 0)
+    assert astuple(c.stats()) == (0, 0, 0, 0, 0)
 
 
 def test_stats_smallest():
     # nets are a, b, g and the FF output f
     c = parse_bench(SMALLEST)
-    assert c.stats().astuple() == (1, 1, 2, 1, 4)
+    assert astuple(c.stats()) == (1, 1, 2, 1, 4)
 
 
 def test_stats_b01ish_ff_count(b01ish):

@@ -1,4 +1,5 @@
 import itertools
+from functools import partial
 
 import pytest
 
@@ -92,14 +93,31 @@ def _naive_patterns(c, site):
     return found
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_bitparallel_matches_naive_simulation(seed):
-    c = make_random_circuit(seed * 31 + 2, n_pis=3, n_ffs=3, n_gates=12)
+def _fanout70():
+    """Stem s feeds 70 FFs through mixed gates: a site wider than 64 FFs
+    whose support is only the 4 PIs."""
+    lines = ["INPUT(a)", "INPUT(b)", "INPUT(c)", "INPUT(e)", "s = XOR(a, b)"]
+    gates = ["AND(s, c)", "OR(s, e)", "XOR(s, c)", "NAND(s, c, e)", "NOR(s, e)", "BUFF(s)"]
+    for i in range(70):
+        lines += [f"d{i} = {gates[i % len(gates)]}", f"f{i} = DFF(d{i})", f"OUTPUT(f{i})"]
+    return parse_bench("\n".join(lines))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(partial(make_random_circuit, s * 31 + 2, n_pis=3, n_ffs=3, n_gates=12), id=str(s))
+        for s in range(20)
+    ]
+    + [pytest.param(_fanout70, id="fanout70")],
+)
+def test_bitparallel_matches_naive_simulation(make):
+    c = make()
     for site in enumerate_fault_sites(c):
         if not site.static_ffs:
             continue
-        fast = {p.ffs.members for p in exhaustive_patterns(c, site)}
-        assert fast == _naive_patterns(c, site)
+        fast = [p.ffs.members for p in exhaustive_patterns(c, site)]
+        assert fast == sorted(_naive_patterns(c, site), key=lambda m: (len(m), m))
 
 
 def test_brute_force_sat_basics():
