@@ -73,6 +73,16 @@ def sci3(value: int) -> str:
     return f"{m}E+{exp:02d}"
 
 
+def _ratio(num: int, den: int) -> float | str | None:
+    """num / den as a float, or in `sci3` form where it exceeds the float range."""
+    if den == 0:
+        return None
+    try:
+        return num / den
+    except OverflowError:
+        return sci3(num // den)
+
+
 @dataclass(frozen=True)
 class FaultSpaceReport:
     method: str                 # static | propagated | random
@@ -133,16 +143,12 @@ class CampaignReport:
         return self.propagated.total_faults <= self.static.total_faults
 
     @property
-    def static_over_propagated(self) -> float | None:
-        if self.propagated.total_faults == 0:
-            return None
-        return self.static.total_faults / self.propagated.total_faults
+    def static_over_propagated(self) -> float | str | None:
+        return _ratio(self.static.total_faults, self.propagated.total_faults)
 
     @property
-    def random_over_propagated(self) -> float | None:
-        if self.propagated.total_faults == 0:
-            return None
-        return self.random.total_faults / self.propagated.total_faults
+    def random_over_propagated(self) -> float | str | None:
+        return _ratio(self.random.total_faults, self.propagated.total_faults)
 
     def to_json(self) -> dict:
         return {

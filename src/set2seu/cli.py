@@ -190,6 +190,11 @@ def _reading(path: Path):
         raise ValueError(f"{path}: malformed: {e}") from None
 
 
+# (complete, overflow, unknown) as enumerate_patterns sets them: proved
+# complete, stopped at the pattern cap, or stopped by the conflict budget
+_RESULT_FLAGS = {(True, False, False), (False, True, False), (False, True, True)}
+
+
 def patterns_from_json(
     data: dict, static: ffsets.SetCollection, path: Path
 ) -> dict[str, propagation.PatternResult]:
@@ -202,6 +207,11 @@ def patterns_from_json(
         flags = {k: row[k] for k in ("complete", "overflow", "unknown")}
         if not all(isinstance(v, bool) for v in flags.values()):
             raise TypeError(f"site '{site}': complete, overflow and unknown must be true or false")
+        if tuple(flags.values()) not in _RESULT_FLAGS:
+            raise ValueError(
+                f"{path}: site '{site}' has complete/overflow/unknown "
+                f"{'/'.join(str(v).lower() for v in flags.values())}, which no analysis yields"
+            )
         results[site] = propagation.PatternResult(
             site=site,
             patterns=tuple(

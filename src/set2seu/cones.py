@@ -99,7 +99,7 @@ def _region_heads(c: Circuit) -> list[int]:
     for gid in reversed(c.topo_gates):
         g = c.gates[gid]
         for n in g.inputs:
-            if c.fanout_count[n] == 1 and not c.fanout_ffs[n]:
+            if len(c.fanout_gates[n]) == 1 and not c.fanout_ffs[n]:
                 heads[n] = heads[g.output]
     return heads
 

@@ -119,17 +119,28 @@ class Circuit:
         return tuple(tuple(v) for v in out)
 
     @cached_property
-    def fanout_count(self) -> tuple[int, ...]:
-        """Per net: number of gate-input plus FF-D sinks (POs not counted)."""
-        return tuple(
-            len(self.fanout_gates[n]) + len(self.fanout_ffs[n]) for n in range(self.num_nets)
-        )
-
-    @cached_property
     def topo_gates(self) -> tuple[int, ...]:
-        """Gate ids in topological order (inputs before consumers)."""
-        order, _ = _toposort(self)
-        return order
+        """Gate ids in topological order (inputs before consumers).
+
+        Kahn's algorithm, smallest ready id first for a stable order; gates
+        on a combinational cycle never become ready and are left out.
+        """
+        indeg = [0] * len(self.gates)
+        for g in self.gates:
+            for n in g.inputs:
+                if self.driver[n][0] == "gate":
+                    indeg[g.id] += 1
+        ready = [gid for gid, d in enumerate(indeg) if d == 0]
+        order: list[int] = []
+        while ready:
+            ready.sort(reverse=True)
+            gid = ready.pop()
+            order.append(gid)
+            for sink in self.fanout_gates[self.gates[gid].output]:
+                indeg[sink] -= 1
+                if indeg[sink] == 0:
+                    ready.append(sink)
+        return tuple(order)
 
     @cached_property
     def ff_reach(self) -> tuple[int, ...]:
@@ -182,128 +193,90 @@ class Circuit:
 # -- construction / validation ------------------------------------------
 
 
-def _toposort(c: Circuit) -> tuple[tuple[int, ...], list[int]]:
-    """Kahn's algorithm over gates; returns (order, gate ids left in a cycle)."""
-    indeg = [0] * len(c.gates)
-    for g in c.gates:
-        for n in g.inputs:
-            kind, _ = c.driver[n]
-            if kind == "gate":
-                indeg[g.id] += 1
-    ready = [gid for gid, d in enumerate(indeg) if d == 0]
-    order: list[int] = []
-    while ready:
-        # pop smallest id for a stable order
-        ready.sort(reverse=True)
-        gid = ready.pop()
-        order.append(gid)
-        for sink in c.fanout_gates[c.gates[gid].output]:
-            indeg[sink] -= 1
-            if indeg[sink] == 0:
-                ready.append(sink)
-    stuck = [gid for gid, d in enumerate(indeg) if d > 0]
-    return tuple(order), stuck
-
-
 def build_circuit(
     net_names: Iterable[str],
     gates: Iterable[tuple[str, tuple[int, ...], int]],
-    flipflops: Iterable[tuple[str, int, int]],
+    flipflops: Iterable[tuple[str | None, int, int]],
     primary_inputs: Iterable[int],
     primary_outputs: Iterable[int],
     excluded_names: Iterable[str] = (),
     def_lines: dict[int, int] | None = None,
+    excluded_ids: Iterable[int] = (),
 ) -> Circuit:
-    """Assemble and validate a Circuit from raw pieces.
+    """Validate raw netlist pieces and assemble the Circuit.
 
-    gates: (kind, input net ids, output net id); flipflops: (name, d, q).
+    The one structural check of every netlist source.  gates: (kind, input
+    net ids, output net id); flipflops: (name or None for the Q net's name,
+    d, q).  Repeated primary outputs are kept once, in first-seen order.
     def_lines maps net id -> source line for error reporting.
     """
     names = tuple(net_names)
-    lines = def_lines or {}
+    where = (def_lines or {}).get
+    ids = {n: i for i, n in enumerate(names)}
+    if len(ids) != len(names):
+        raise NetlistError("duplicate net names")
 
-    def where(net: int) -> int | None:
-        return lines.get(net)
+    gate_rows = [(k, tuple(ins), out) for k, ins, out in gates]
+    ff_rows = list(flipflops)
+    pis, pos, excl = tuple(primary_inputs), tuple(primary_outputs), list(excluded_ids)
+    refs = [("a primary input", pis), ("a primary output", pos), ("the excluded list", excl)]
+    refs += [(f"gate {i}", (*ins, out)) for i, (_, ins, out) in enumerate(gate_rows)]
+    refs += [(f"flip-flop {i}", (d, q)) for i, (_, d, q) in enumerate(ff_rows)]
+    for what, nets in refs:
+        for n in nets:
+            if type(n) is not int or not 0 <= n < len(names):
+                raise NetlistError(f"{what} refers to net {n!r}, not an id in [0, {len(names)})")
+    for nm in excluded_names:
+        if nm not in ids:
+            raise NetlistError(f"excluded net '{nm}' does not exist in the netlist")
+        excl.append(ids[nm])
+
+    # one driver per net, and every net driven
+    driven: set[int] = set()
+    for n in (*pis, *(out for _, _, out in gate_rows), *(q for _, _, q in ff_rows)):
+        if n in driven:
+            raise NetlistError(f"net '{names[n]}' has multiple drivers", where(n))
+        driven.add(n)
+    for nm, d, q in ff_rows:
+        if d == q:
+            name = names[q] if nm is None else nm
+            raise NetlistError(
+                f"flip-flop '{name}' feeds its own output net back as data input", where(q)
+            )
+    for n in range(len(names)):
+        if n not in driven:
+            raise NetlistError(f"net '{names[n]}' is never defined", where(n))
+
+    # kind and arity
+    for kind, ins, out in gate_rows:
+        if kind not in GATE_KINDS:
+            raise NetlistError(f"unknown gate kind '{kind}'", where(out))
+        if kind in _UNARY and len(ins) != 1:
+            raise NetlistError(
+                f"{kind} gate '{names[out]}' must have exactly 1 input", where(out)
+            )
+        if kind not in _UNARY and len(ins) < 2:
+            raise NetlistError(f"{kind} gate '{names[out]}' needs at least 2 inputs", where(out))
 
     c = Circuit(
         net_names=names,
-        gates=tuple(Gate(i, k, tuple(ins), out) for i, (k, ins, out) in enumerate(gates)),
-        flipflops=tuple(FlipFlop(i, nm, d, q) for i, (nm, d, q) in enumerate(flipflops)),
-        primary_inputs=tuple(primary_inputs),
-        primary_outputs=tuple(primary_outputs),
-        excluded=frozenset(),
+        gates=tuple(Gate(i, k, ins, out) for i, (k, ins, out) in enumerate(gate_rows)),
+        flipflops=tuple(
+            FlipFlop(i, names[q] if nm is None else nm, d, q)
+            for i, (nm, d, q) in enumerate(ff_rows)
+        ),
+        primary_inputs=pis,
+        primary_outputs=tuple(dict.fromkeys(pos)),
+        excluded=frozenset(excl),
     )
 
-    # single driver per net
-    seen: dict[int, str] = {}
-    for n in c.primary_inputs:
-        seen[n] = "input"
-    for g in c.gates:
-        if g.output in seen:
-            raise NetlistError(
-                f"net '{names[g.output]}' has multiple drivers", where(g.output)
-            )
-        seen[g.output] = "gate"
-    for f in c.flipflops:
-        if f.q_net in seen:
-            raise NetlistError(
-                f"net '{names[f.q_net]}' has multiple drivers", where(f.q_net)
-            )
-        seen[f.q_net] = "ff"
-        if f.d_net == f.q_net:
-            raise NetlistError(
-                f"flip-flop '{f.name}' feeds its own output net back as data input",
-                where(f.q_net),
-            )
-
-    # every referenced net defined (has a driver)
-    for g in c.gates:
-        for n in g.inputs:
-            if n not in seen:
-                raise NetlistError(f"net '{names[n]}' is never defined", where(n))
-    for f in c.flipflops:
-        if f.d_net not in seen:
-            raise NetlistError(f"net '{names[f.d_net]}' is never defined", where(f.d_net))
-    for n in c.primary_outputs:
-        if n not in seen:
-            raise NetlistError(f"net '{names[n]}' is never defined", where(n))
-
-    # arity
-    for g in c.gates:
-        if g.kind not in GATE_KINDS:
-            raise NetlistError(f"unknown gate kind '{g.kind}'", where(g.output))
-        if g.kind in _UNARY and len(g.inputs) != 1:
-            raise NetlistError(
-                f"{g.kind} gate '{names[g.output]}' must have exactly 1 input",
-                where(g.output),
-            )
-        if g.kind not in _UNARY and len(g.inputs) < 2:
-            raise NetlistError(
-                f"{g.kind} gate '{names[g.output]}' needs at least 2 inputs",
-                where(g.output),
-            )
-
-    # acyclic combinational subgraph
-    order, stuck = _toposort(c)
-    if stuck:
+    # acyclic combinational subgraph: gates left out of the order sit on a cycle
+    order = c.topo_gates
+    if len(order) < len(c.gates):
+        stuck = sorted(set(range(len(c.gates))) - set(order))
         cyc = ", ".join(names[c.gates[g].output] for g in stuck[:8])
         raise NetlistError(
             f"combinational cycle through net(s): {cyc}", where(c.gates[stuck[0]].output)
-        )
-
-    excl = set()
-    for nm in excluded_names:
-        if nm not in c.name_to_id:
-            raise NetlistError(f"excluded net '{nm}' does not exist in the netlist")
-        excl.add(c.name_to_id[nm])
-    if excl:
-        c = Circuit(
-            net_names=c.net_names,
-            gates=c.gates,
-            flipflops=c.flipflops,
-            primary_inputs=c.primary_inputs,
-            primary_outputs=c.primary_outputs,
-            excluded=frozenset(excl),
         )
     return c
 
@@ -321,6 +294,8 @@ def parse_bench(text: str, exclude: Iterable[str] = ()) -> Circuit:
         INPUT(x) / OUTPUT(x)
         q = DFF(d)
         y = KIND(a, b, ...)      with KIND in AND OR NAND NOR XOR XNOR NOT BUFF
+
+    Only the syntax is checked here; `build_circuit` checks the netlist.
     """
     names: list[str] = []
     ids: dict[str, int] = {}
@@ -337,8 +312,6 @@ def parse_bench(text: str, exclude: Iterable[str] = ()) -> Circuit:
     pos: list[int] = []
     gates: list[tuple[str, tuple[int, ...], int]] = []
     ffs: list[tuple[str, int, int]] = []
-    pi_seen: set[str] = set()
-    po_seen: set[str] = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -346,17 +319,12 @@ def parse_bench(text: str, exclude: Iterable[str] = ()) -> Circuit:
             continue
         m = _DECL_RE.match(line)
         if m:
-            kind, name = m.group(1), m.group(2)
-            net = intern(name, lineno)
-            if kind == "INPUT":
-                if name in pi_seen:
-                    raise NetlistError(f"net '{name}' has multiple drivers", lineno)
-                pi_seen.add(name)
+            net = intern(m.group(2), lineno)
+            if m.group(1) == "INPUT":
+                def_lines[net] = lineno  # a second driver is reported at its own line
                 pis.append(net)
             else:
-                if name not in po_seen:
-                    po_seen.add(name)
-                    pos.append(net)
+                pos.append(net)
             continue
         m = _ASSIGN_RE.match(line)
         if m:
@@ -373,10 +341,8 @@ def parse_bench(text: str, exclude: Iterable[str] = ()) -> Circuit:
                         f"DFF '{out_name}' must have exactly 1 input", lineno
                     )
                 ffs.append((out_name, arg_ids[0], out))
-            elif kind in GATE_KINDS:
-                gates.append((kind, arg_ids, out))
             else:
-                raise NetlistError(f"unknown gate kind '{kind}'", lineno)
+                gates.append((kind, arg_ids, out))
             continue
         raise NetlistError(f"cannot parse statement: '{line}'", lineno)
 
@@ -416,25 +382,32 @@ def circuit_to_json(c: Circuit) -> dict:
 
 
 def circuit_from_json(data: dict | str, exclude: Iterable[str] = ()) -> Circuit:
-    """Build a Circuit from the JSON schema emitted by `circuit_to_json`."""
-    if isinstance(data, str):
-        data = json.loads(data)
-    nets = sorted(data["nets"], key=lambda r: r["id"])
-    if [r["id"] for r in nets] != list(range(len(nets))):
-        raise NetlistError("net ids must be dense and zero-based")
-    names = [r["name"] for r in nets]
-    if len(set(names)) != len(names):
-        raise NetlistError("duplicate net names")
-    gates = [
-        (g["kind"].upper(), tuple(g["inputs"]), g["output"])
-        for g in sorted(data["gates"], key=lambda r: r["id"])
-    ]
-    ffs = [
-        (f.get("name", names[f["q"]]), f["d"], f["q"])
-        for f in sorted(data["ffs"], key=lambda r: r["id"])
-    ]
-    excluded_names = [names[i] for i in data.get("excluded", [])]
-    excluded_names += [n for n in exclude if n not in excluded_names]
-    return build_circuit(
-        names, gates, ffs, data["inputs"], data["outputs"], excluded_names
-    )
+    """Build a Circuit from the JSON schema emitted by `circuit_to_json`.
+
+    Only the JSON shape is checked here (keys, types, dense net ids); a
+    missing key or a value of the wrong type is a NetlistError.  The netlist
+    itself is checked by `build_circuit`, as for `.bench` input.
+    """
+    try:
+        if isinstance(data, str):
+            data = json.loads(data)
+        nets = sorted(data["nets"], key=lambda r: r["id"])
+        if [r["id"] for r in nets] != list(range(len(nets))):
+            raise NetlistError("net ids must be dense and zero-based")
+        names = [r["name"] for r in nets]
+        gates = [
+            (g["kind"].upper(), tuple(g["inputs"]), g["output"])
+            for g in sorted(data["gates"], key=lambda r: r["id"])
+        ]
+        ffs = [
+            (f.get("name"), f["d"], f["q"]) for f in sorted(data["ffs"], key=lambda r: r["id"])
+        ]
+        pis, pos = list(data["inputs"]), list(data["outputs"])
+        excluded = list(data.get("excluded", []))
+    except KeyError as e:
+        raise NetlistError(f"JSON circuit has no key {e}") from None
+    except (TypeError, AttributeError, json.JSONDecodeError) as e:
+        raise NetlistError(f"malformed JSON circuit: {e}") from None
+    if not all(isinstance(n, str) for n in names + [nm for nm, _, _ in ffs if nm is not None]):
+        raise NetlistError("net and flip-flop names must be strings")
+    return build_circuit(names, gates, ffs, pis, pos, exclude, excluded_ids=excluded)

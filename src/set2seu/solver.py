@@ -70,7 +70,6 @@ class CdclSolver:
         self.var_inc = 1.0
         self.order: list[tuple[float, int]] = []
         self.unsat = False
-        self._pending_units: list[tuple[int, Clause | None]] = []
         if num_vars:
             self.ensure_vars(num_vars)
 
@@ -129,7 +128,7 @@ class CdclSolver:
             self.unsat = True
             return
         if len(out) == 1:
-            self._pending_units.append((out[0], None))
+            self._enqueue(out[0], None)  # unassigned here; solve() propagates it
             return
         cl = Clause(out)
         self.clauses.append(cl)
@@ -297,13 +296,6 @@ class CdclSolver:
         for a in assumptions:
             self.ensure_vars(abs(a))
         self._cancel_until(0)
-        for lit, reason in self._pending_units:
-            if self._value(lit) is False:
-                self.unsat = True
-                return SolveResult(UNSAT, None, 0)
-            if self._value(lit) is None:
-                self._enqueue(lit, reason)
-        self._pending_units.clear()
 
         conflicts = 0
         restarts = 0

@@ -157,6 +157,18 @@ def test_campaign_exact_huge_population():
     assert rep.to_json()["methods"]["random"]["total_faults_sci"] == "7.38E+19"
 
 
+def test_campaign_ratio_beyond_float_range():
+    # 2^1100 - 1 random combinations over 3 propagated ones exceeds the float range
+    universe = tuple(f"ff{i}" for i in range(1100))
+    static = SetCollection(universe, (("s0", ffset([0, 1])),))
+    rep = build_campaign(1100, static, static)
+    reduction = rep.to_json()["reduction"]
+    assert reduction["static_over_propagated"] == 1.0
+    assert reduction["random_over_propagated"] == sci3((2**1100 - 1) // 3) == "4.53E+330"
+    rows = rep.to_csv().splitlines()
+    assert rows[3].split(",")[:5] == ["random", "1", "1", "1100", str(2**1100 - 1)]
+
+
 def test_per_set_bound_within_universe():
     c = coll([[0, 1, 2], [3], [0, 7]])
     n = len(UNIVERSE)

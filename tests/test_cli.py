@@ -139,6 +139,16 @@ def _missing_key(a, b):
     return {b: ["patterns.json", "'complete'"]}
 
 
+def _inconsistent_flags(a, b):
+    # complete and unknown together: no analysis yields this combination
+    path = b / "patterns.json"
+    data = read_json(path)
+    row = data["sites"][0]
+    row.update(complete=True, overflow=False, unknown=True)
+    path.write_text(json.dumps(data))
+    return {b: ["patterns.json", f"'{row['site']}'", "true/false/true"]}
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -148,6 +158,7 @@ def _missing_key(a, b):
         _empty_pattern,
         _empty_raw,
         _missing_key,
+        _inconsistent_flags,
     ],
     ids=[
         "swapped",
@@ -156,6 +167,7 @@ def _missing_key(a, b):
         "empty_pattern",
         "empty_raw",
         "missing_key",
+        "inconsistent_flags",
     ],
 )
 def test_report_rejects_mismatched_artifacts(tmp_path, corrupt):
@@ -206,6 +218,28 @@ def test_parse_error_exit_2(tmp_path, capsys):
     assert run_cli(["parse", "--input", bad, "--out", tmp_path / "o"]) == EXIT_PARSE
     err = capsys.readouterr().err
     assert "line 2" in err
+
+
+def test_json_netlist_error_exit_2(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(
+        json.dumps(
+            {
+                "nets": [{"id": 0, "name": "a"}, {"id": 1, "name": "y"}],
+                "gates": [{"id": 0, "kind": "NOT", "inputs": [7], "output": 1}],
+                "ffs": [],
+                "inputs": [0],
+                "outputs": [1],
+            }
+        )
+    )
+    cmd = ["parse", "--input", str(bad), "--out", str(tmp_path / "o")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "set2seu", *cmd], capture_output=True, text=True
+    )
+    assert proc.returncode == EXIT_PARSE
+    assert "netlist error" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_missing_input_exit_3(tmp_path):

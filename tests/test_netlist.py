@@ -83,6 +83,55 @@ def test_validation_errors(text, fragment):
     assert fragment in str(ei.value)
 
 
+def _json_circuit(**changes):
+    """SMALLEST as a JSON circuit (nets a, b, g, f) with top-level keys replaced; None drops one."""
+    data = circuit_to_json(parse_bench(SMALLEST))
+    data.update(changes)
+    return {k: v for k, v in data.items() if v is not None}
+
+
+@pytest.mark.parametrize(
+    "data,fragment",
+    [
+        (
+            _json_circuit(gates=[{"id": 0, "kind": "AND", "inputs": [0, 7], "output": 2}]),
+            "not an id",
+        ),
+        (_json_circuit(excluded=[-1]), "not an id"),
+        (_json_circuit(inputs=None), "no key 'inputs'"),
+        (_json_circuit(inputs=[0, 1, 0]), "multiple drivers"),
+        (
+            _json_circuit(nets=[{"id": i, "name": n} for i, n in enumerate("abgfz")]),
+            "'z' is never defined",
+        ),
+    ],
+    ids=[
+        "gate_input_out_of_range",
+        "negative_excluded",
+        "missing_inputs",
+        "duplicate_pi",
+        "undriven_net",
+    ],
+)
+def test_json_validation_errors(data, fragment):
+    with pytest.raises(NetlistError) as ei:
+        circuit_from_json(data)
+    assert fragment in str(ei.value)
+
+
+def test_duplicate_output_collapsed_in_both_formats():
+    c = parse_bench(SMALLEST + "\nOUTPUT(f)")
+    data = _json_circuit(outputs=[c.net_id("f")] * 2)
+    assert circuit_from_json(data).stats() == c.stats() == parse_bench(SMALLEST).stats()
+
+
+def test_duplicate_input_error_points_at_second_declaration():
+    with pytest.raises(NetlistError) as ei:
+        parse_bench("INPUT(a)\nINPUT(b)\nINPUT(a)\ng = AND(a,b)")
+    assert "multiple drivers" in str(ei.value)
+    assert ei.value.line == 3
+
+
 def test_duplicate_gate_error_points_at_second_definition():
     with pytest.raises(NetlistError) as ei:
         parse_bench("INPUT(a)\nINPUT(b)\nx = AND(a,b)\nx = OR(a,b)")
