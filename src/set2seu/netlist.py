@@ -384,24 +384,20 @@ def circuit_to_json(c: Circuit) -> dict:
 def circuit_from_json(data: dict | str, exclude: Iterable[str] = ()) -> Circuit:
     """Build a Circuit from the JSON schema emitted by `circuit_to_json`.
 
-    Only the JSON shape is checked here (keys, types, dense net ids); a
-    missing key or a value of the wrong type is a NetlistError.  The netlist
-    itself is checked by `build_circuit`, as for `.bench` input.
+    Only the JSON shape is checked here (keys, types, and the ids of nets,
+    gates and flip-flops, each exactly 0..n-1); a missing key or a value of
+    the wrong type is a NetlistError.  The netlist itself is checked by
+    `build_circuit`, as for `.bench` input.
     """
     try:
         if isinstance(data, str):
             data = json.loads(data)
-        nets = sorted(data["nets"], key=lambda r: r["id"])
-        if [r["id"] for r in nets] != list(range(len(nets))):
-            raise NetlistError("net ids must be dense and zero-based")
-        names = [r["name"] for r in nets]
+        names = [r["name"] for r in _by_id(data["nets"], "net")]
         gates = [
             (g["kind"].upper(), tuple(g["inputs"]), g["output"])
-            for g in sorted(data["gates"], key=lambda r: r["id"])
+            for g in _by_id(data["gates"], "gate")
         ]
-        ffs = [
-            (f.get("name"), f["d"], f["q"]) for f in sorted(data["ffs"], key=lambda r: r["id"])
-        ]
+        ffs = [(f.get("name"), f["d"], f["q"]) for f in _by_id(data["ffs"], "flip-flop")]
         pis, pos = list(data["inputs"]), list(data["outputs"])
         excluded = list(data.get("excluded", []))
     except KeyError as e:
@@ -411,3 +407,11 @@ def circuit_from_json(data: dict | str, exclude: Iterable[str] = ()) -> Circuit:
     if not all(isinstance(n, str) for n in names + [nm for nm, _, _ in ffs if nm is not None]):
         raise NetlistError("net and flip-flop names must be strings")
     return build_circuit(names, gates, ffs, pis, pos, exclude, excluded_ids=excluded)
+
+
+def _by_id(rows: list[dict], what: str) -> list[dict]:
+    """`rows` ordered by their "id", which must be the integers 0..n-1, each once."""
+    ids = [r["id"] for r in rows]
+    if any(type(i) is not int for i in ids) or sorted(ids) != list(range(len(ids))):
+        raise NetlistError(f"{what} ids must be the integers 0..{len(ids) - 1}, each once")
+    return sorted(rows, key=lambda r: r["id"])

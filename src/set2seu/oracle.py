@@ -1,19 +1,23 @@
-"""Exhaustive-simulation ground truth for validating the SAT engine.
+"""Simulation ground truth for validating both pattern engines.
 
-Two-valued simulation only, matching the CNF semantics.  The exhaustive
-sweep evaluates all support assignments at once by packing them into big
-integers (net value = one bit per assignment), so small instances stay
-cheap; the hard support-size precondition keeps it from being misused.
+Two-valued simulation only, matching the CNF semantics.  `simulate` is the
+scalar, one-assignment-at-a-time reference for the bit-parallel gate
+evaluator.  `exhaustive_patterns` is the per-site reference sweep: it
+evaluates all support assignments of one site at once, packed into big
+integers (net value = one bit per assignment), with the evaluator and the
+pattern split that the simulation engine in `propagation` uses for regions
+of support at most SIM_SUPPORT_LIMIT.  It re-simulates the whole region
+for every site, so it cross-checks that engine's shared region sweep and
+fan-out re-simulation as well as the SAT engine; the hard support-size
+precondition keeps it from being misused.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .cones import FaultSite, relevant_closure, site_support
 from .ffsets import FFSet
 from .netlist import Circuit
-from .propagation import DifferencePattern
+from .propagation import DifferencePattern, _distinct_patterns, _eval_gate_masked, _var_mask
 from .solver import SAT, UNSAT, SolveResult
 
 DEFAULT_SUPPORT_LIMIT = 20
@@ -74,44 +78,6 @@ def simulate(
 # -- bit-parallel sweep ----------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _var_mask(v: int, k: int) -> int:
-    """Bit i of the result is (i >> v) & 1, over all i < 2**k.
-
-    Cached: building a mask costs a big-int multiply of 2**k bits, and every
-    sweep of width k needs the same k masks.  All masks for k <= 20 take
-    about 5 MB.
-    """
-    width = 1 << k
-    window = 1 << (v + 1)
-    ones = ((1 << (1 << v)) - 1) << (1 << v)
-    rep = ((1 << width) - 1) // ((1 << window) - 1) if window <= width else 1
-    return ones * rep
-
-
-def _eval_gate_masked(kind: str, ins: list[int], full: int) -> int:
-    if kind in ("AND", "NAND"):
-        v = ins[0]
-        for x in ins[1:]:
-            v &= x
-        return v if kind == "AND" else full ^ v
-    if kind in ("OR", "NOR"):
-        v = ins[0]
-        for x in ins[1:]:
-            v |= x
-        return v if kind == "OR" else full ^ v
-    if kind in ("XOR", "XNOR"):
-        v = ins[0]
-        for x in ins[1:]:
-            v ^= x
-        return v if kind == "XOR" else full ^ v
-    if kind == "NOT":
-        return full ^ ins[0]
-    if kind == "BUFF":
-        return ins[0]
-    raise ValueError(f"unknown gate kind '{kind}'")
-
-
 def exhaustive_patterns(
     c: Circuit, site: FaultSite, support_limit: int = DEFAULT_SUPPORT_LIMIT
 ) -> list[DifferencePattern]:
@@ -158,34 +124,6 @@ def exhaustive_patterns(
         DifferencePattern(site_name, FFSet(members))
         for members in _distinct_patterns(diffs, site.static_ffs, full)
     ]
-
-
-def _distinct_patterns(
-    diffs: list[int], ff_ids: tuple[int, ...], full: int
-) -> list[tuple[int, ...]]:
-    """Distinct nonempty difference vectors, canonically sorted.
-
-    Partitions the assignments (the bits of `full`) by FF: each class is
-    split into the assignments where FF j differs (`hit`) and the rest.  The
-    nonempty classes left after the last FF are the distinct vectors.  The
-    stack replaces recursion, whose depth would be the FF count, and holds
-    at most one pending sibling per level.
-    """
-    out = []
-    stack = [(full, 0, ())]
-    while stack:
-        mask, j, members = stack.pop()
-        if j == len(ff_ids):
-            if members:
-                out.append(members)
-            continue
-        hit = mask & diffs[j]
-        if hit != mask:
-            stack.append((mask ^ hit, j + 1, members))
-        if hit:
-            stack.append((hit, j + 1, members + (ff_ids[j],)))
-    out.sort(key=lambda m: (len(m), m))
-    return out
 
 
 # -- CNF truth-table oracle --------------------------------------------------

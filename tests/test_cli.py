@@ -384,6 +384,9 @@ def test_verbose_per_site_timing_on_stderr(tmp_path, capsys, jobs):
     analysed = [row["site"] for row in read_json(out / "patterns.json")["sites"]]
     logged = re.findall(r"^\[set2seu\]\s+site (\S+): \d+ patterns.* in \d+\.\d{3}s$", err, re.M)
     assert analysed and sorted(logged) == sorted(analysed)
+    engines = re.findall(r"^\[set2seu\]\s+site \S+: .* by (\w+) in \d+\.\d{3}s$", err, re.M)
+    assert len(engines) == len(analysed)
+    assert set(engines) == {"sim"}  # every divergent3 support is far below the limit
     assert (out / "patterns.json").read_bytes() == (quiet / "patterns.json").read_bytes()
 
 

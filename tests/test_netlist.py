@@ -83,6 +83,10 @@ def test_validation_errors(text, fragment):
     assert fragment in str(ei.value)
 
 
+# the one gate of SMALLEST: g = AND(a, b)
+_AND_GATE = {"id": 0, "kind": "AND", "inputs": [0, 1], "output": 2}
+
+
 def _json_circuit(**changes):
     """SMALLEST as a JSON circuit (nets a, b, g, f) with top-level keys replaced; None drops one."""
     data = circuit_to_json(parse_bench(SMALLEST))
@@ -104,6 +108,29 @@ def _json_circuit(**changes):
             _json_circuit(nets=[{"id": i, "name": n} for i, n in enumerate("abgfz")]),
             "'z' is never defined",
         ),
+        (
+            _json_circuit(
+                nets=[{"id": i, "name": n} for i, n in enumerate("abgfh")],
+                gates=[_AND_GATE, {"id": 0, "kind": "NOT", "inputs": [2], "output": 4}],
+                outputs=[3, 4],
+            ),
+            "gate ids must be",
+        ),
+        (_json_circuit(gates=[dict(_AND_GATE, id=7)]), "gate ids must be"),
+        (_json_circuit(ffs=[{"id": 1, "name": "f", "d": 2, "q": 3}]), "flip-flop ids must be"),
+        (
+            _json_circuit(nets=[{"id": i, "name": n} for i, n in zip([0, 1, 2, 2], "abgf")]),
+            "net ids must be",
+        ),
+        (
+            _json_circuit(nets=[{"id": i, "name": n} for i, n in zip([0, True, 2, 3], "abgf")]),
+            "net ids must be",
+        ),
+        (
+            _json_circuit(nets=[{"id": i, "name": n} for i, n in zip([0, 1.0, 2, 3], "abgf")]),
+            "net ids must be",
+        ),
+        (_json_circuit(gates=[dict(_AND_GATE, id="0")]), "gate ids must be"),
     ],
     ids=[
         "gate_input_out_of_range",
@@ -111,6 +138,13 @@ def _json_circuit(**changes):
         "missing_inputs",
         "duplicate_pi",
         "undriven_net",
+        "duplicate_gate_id",
+        "gapped_gate_id",
+        "gapped_ff_id",
+        "duplicate_net_id",
+        "bool_net_id",
+        "float_net_id",
+        "string_gate_id",
     ],
 )
 def test_json_validation_errors(data, fragment):

@@ -5,8 +5,10 @@ from set2seu.cones import enumerate_fault_sites, site_support
 from set2seu.ffsets import SetCollection, collect_static_sets, ffset
 from set2seu.oracle import exhaustive_patterns, simulate
 from set2seu.propagation import (
+    SIM_SUPPORT_LIMIT,
     DifferencePattern,
     PatternResult,
+    _work_units,
     analyze_sites,
     build_miter,
     encode_cnf,
@@ -14,8 +16,9 @@ from set2seu.propagation import (
     export_site_cnf,
     gate_clauses,
     optimize_sets,
+    region_sweep,
 )
-from set2seu.random_circuits import make_random_circuit
+from set2seu.random_circuits import corpus, make_random_circuit
 from set2seu.solver import SAT, UNSAT, parse_dimacs, solve_cnf
 
 
@@ -25,6 +28,22 @@ def sites_by_name(c):
 
 def pattern_set(result):
     return {p.ffs.members for p in result.patterns}
+
+
+def outcome(result):
+    """What both engines must agree on: the pattern set and the three flags."""
+    return pattern_set(result), result.complete, result.overflow, result.unknown
+
+
+def enumerate_with(engine, c, site, **kwargs):
+    """enumerate_patterns through the named engine; "sim" sweeps the site's region."""
+    sweep = None
+    if engine == "sim":
+        sweep = region_sweep(c, site)
+        assert sweep is not None
+    r = enumerate_patterns(c, site, sweep=sweep, **kwargs)
+    assert r.engine == engine
+    return r
 
 
 def downstream(c, net):
@@ -208,18 +227,22 @@ def test_patterns_subset_of_static(b01ish):
             assert set(p.ffs.members) <= static
 
 
-def test_cap_overflow_falls_back_to_static(divergent):
+@pytest.mark.parametrize("engine", ["sim", "sat"])
+def test_cap_overflow_falls_back_to_static(divergent, engine):
     s = sites_by_name(divergent)["x"]
-    r = enumerate_patterns(divergent, s, cap=1)
+    r = enumerate_with(engine, divergent, s, cap=1)
     assert r.overflow and not r.complete and not r.unknown
+    assert len(r.patterns) == 1
+    assert pattern_set(r) <= pattern_set(enumerate_patterns(divergent, s))
     assert r.effective_sets() == (ffset([0, 1]),)
     with pytest.raises(ValueError):
-        enumerate_patterns(divergent, s, cap=0)
+        enumerate_with(engine, divergent, s, cap=0)
 
 
-def test_exactly_cap_patterns_is_not_overflow(divergent):
+@pytest.mark.parametrize("engine", ["sim", "sat"])
+def test_exactly_cap_patterns_is_not_overflow(divergent, engine):
     s = sites_by_name(divergent)["x"]
-    r = enumerate_patterns(divergent, s, cap=2)
+    r = enumerate_with(engine, divergent, s, cap=2)
     assert r.complete and not r.overflow
     assert len(r.patterns) == 2
 
@@ -243,6 +266,71 @@ def test_parallel_jobs_match_serial(divergent3):
     serial = analyze_sites(divergent3, sites, jobs=1)
     parallel = analyze_sites(divergent3, sites, jobs=2)
     assert serial == parallel
+
+
+# -- hybrid engine: simulation for small regions, SAT for the rest ----------------
+
+
+def test_hybrid_matches_sat_on_corpus():
+    """Every corpus support is below the limit, so every site is simulated."""
+    checked = 0
+    for c in corpus(12345, 200, max_gates=40, max_ffs=8, max_pis=6):
+        sites = enumerate_fault_sites(c)
+        hybrid = analyze_sites(c, sites)
+        for site in sites:
+            if not site.static_ffs:
+                continue
+            r = hybrid[c.net_names[site.site_net]]
+            assert r.engine == "sim"
+            assert outcome(r) == outcome(enumerate_patterns(c, site)), c.net_names[site.site_net]
+            checked += 1
+    assert checked > 1000
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_hybrid_matches_sat_across_support_limit(seed):
+    c = make_random_circuit(seed, n_pis=6, n_ffs=24, n_gates=90, n_pos=2)
+    sites = enumerate_fault_sites(c)
+    hybrid = analyze_sites(c, sites)
+    engines = set()
+    for site in sites:
+        if not site.static_ffs:
+            continue
+        r = hybrid[c.net_names[site.site_net]]
+        small = len(site_support(c, site)) <= SIM_SUPPORT_LIMIT
+        assert r.engine == ("sim" if small else "sat")
+        assert outcome(r) == outcome(enumerate_patterns(c, site))
+        engines.add(r.engine)
+    assert engines == {"sim", "sat"}
+    parallel = analyze_sites(c, sites, jobs=2)
+    assert list(parallel) == list(hybrid)
+    assert [r.engine for r in parallel.values()] == [r.engine for r in hybrid.values()]
+    assert parallel == hybrid
+
+
+def test_work_units_keep_simulated_regions_whole_and_split_sat_sites():
+    # seed 1 has simulated regions of up to 3 sites and a SAT region of 2
+    c = make_random_circuit(1, n_pis=6, n_ffs=24, n_gates=90, n_pos=2)
+    work = [s for s in enumerate_fault_sites(c) if s.static_ffs]
+    units = _work_units(c, work)
+    assert sorted(s.site_net for u in units for s in u) == sorted(s.site_net for s in work)
+    sat_regions = []
+    for u in units:
+        if len(site_support(c, u[0])) <= SIM_SUPPORT_LIMIT:
+            assert u == [s for s in work if s.static_ffs == u[0].static_ffs]
+        else:
+            assert len(u) == 1
+            sat_regions.append(u[0].static_ffs)
+    assert max(len(u) for u in units) > 1
+    assert len(set(sat_regions)) < len(sat_regions)
+
+
+def test_sweep_of_another_region_rejected(divergent3):
+    sites = sites_by_name(divergent3)
+    with pytest.raises(ValueError):
+        enumerate_patterns(
+            divergent3, sites["x"], sweep=region_sweep(divergent3, sites["c"])
+        )
 
 
 # -- optimize_sets -----------------------------------------------------------------
