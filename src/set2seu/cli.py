@@ -235,7 +235,8 @@ def run_propagation(
         for r in results.values():
             log(
                 f"  site {r.site}: {len(r.patterns)} patterns"
-                f"{' overflow' if r.overflow else ''} by {r.engine} in {r.seconds:.3f}s"
+                f"{' overflow' if r.overflow else ''} by {r.engine} in {r.seconds:.3f}s,"
+                f" {r.solves} solves"
             )
     n_over = sum(1 for r in results.values() if r.overflow)
     log(f"propagate: done in {time.monotonic() - t0:.2f}s, {n_over} overflowed")

@@ -13,9 +13,14 @@ answers each region with one of two exact engines:
 - SAT otherwise.  A miter pairs the good circuit with a faulty copy in
   which the site net is inverted for the whole cycle, sharing every net
   that is not downstream of the site.  Difference variables compare the
-  good and faulty values at each reachable flip-flop's D pin.  Iterated
-  SAT with blocking clauses projected onto the difference variables
-  enumerates the achievable upset patterns.
+  good and faulty values at each reachable flip-flop's D pin.  Each model
+  the solver finds seeds a bit-parallel simulation of its support
+  assignment and of every assignment within HARVEST_RADIUS flips of it
+  (after Larrabee's fault simulation of SAT-generated test vectors, IEEE
+  TCAD 1992).  Each difference vector found there that is not yet listed
+  is recorded and blocked by a clause over the difference variables.
+  Every listed vector thus comes from a concrete assignment, and the loop
+  ends only when the solver proves that no unblocked vector is left.
 
 Both give the same patterns; the sweep's cost grows as 2**k times the
 region's gates, so it is only used where that is small.
@@ -24,9 +29,10 @@ region's gates, so it is only used where that is small.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import repeat
+from itertools import combinations, repeat
 
 from .cones import FaultSite, relevant_closure, site_support
 from .ffsets import FFSet, SetCollection
@@ -35,12 +41,19 @@ from .solver import UNKNOWN, UNSAT, CdclSolver, to_dimacs
 
 DEFAULT_PATTERN_CAP = 4096
 DEFAULT_CONFLICT_CAP = 10**6
-# Largest support a region is simulated for.  Measured on the benchmark's
-# 50-flip-flop fixtures (2-vCPU x86 machine): at support 15 simulation takes
-# about 1 ms a site against 45 ms for SAT; at 16 both take about 0.6 ms; at
-# 17-20 one region's sweep takes 28 ms to 1.6 s, most of it building the
-# 2**k-bit masks, while SAT answers a site in 1-5 ms.
+# Largest support a region is simulated for.  A sweep's cost doubles with
+# each support net.  Measured on wide50 (2-vCPU x86 machine), a region of
+# support 16-20 costs 0.3-5 ms to sweep and simulate, against 1-2.6 ms for
+# SAT to answer its sites.
 SIM_SUPPORT_LIMIT = 16
+# Hamming radius of the neighbourhood simulated around each SAT model; the
+# neighbourhood has 1 + k + ... + C(k, radius) assignments for support k.
+# Measured on wide50's largest site (support 52, 3,047 patterns, same
+# machine): radius 0 takes 3,048 solve calls and 4.7 s, radius 1 560 calls
+# and 1.5 s, radius 2 140 calls and 1.1 s, radius 3 45 calls and 0.9 s, but
+# radius 3 simulates 23,479 assignments per model at support 52 and grows
+# as k**3.
+HARVEST_RADIUS = 2
 
 
 @dataclass(frozen=True)
@@ -85,6 +98,7 @@ class PatternResult:
     static_ffs: FFSet                          # fallback when overflow/unknown
     seconds: float = field(default=0.0, compare=False)  # wall time of the analysis
     engine: str = field(default="", compare=False)      # "sim" or "sat"; "" when read back
+    solves: int = field(default=0, compare=False)       # SAT solve calls; 0 when simulated
 
     def effective_sets(self) -> tuple[FFSet, ...]:
         """Sets this site contributes to the optimized collection.
@@ -231,17 +245,38 @@ def encode_cnf(m: MiterInstance, c: Circuit) -> CnfFormula:
 
 @lru_cache(maxsize=None)
 def _var_mask(v: int, k: int) -> int:
-    """Bit i of the result is (i >> v) & 1, over all i < 2**k.
+    """Bit i of the result is (i >> v) & 1, over all i < 2**k, for v < k.
 
-    Cached: building a mask costs a big-int multiply of 2**k bits, and every
-    sweep of width k needs the same k masks.  All masks for k <= 20 take
-    about 5 MB.
+    One period (2**v zeros, then 2**v ones) is doubled onto itself until it
+    covers 2**k bits.  Cached, since every sweep of width k needs the same k
+    masks; all masks for k <= 20 take about 5 MB.
     """
-    width = 1 << k
-    window = 1 << (v + 1)
-    ones = ((1 << (1 << v)) - 1) << (1 << v)
-    rep = ((1 << width) - 1) // ((1 << window) - 1) if window <= width else 1
-    return ones * rep
+    half = 1 << v
+    mask = ((1 << half) - 1) << half
+    width = half << 1
+    while width < 1 << k:
+        mask |= mask << width
+        width <<= 1
+    return mask
+
+
+@lru_cache(maxsize=None)
+def _flip_masks(k: int, radius: int) -> tuple[int, tuple[int, ...]]:
+    """All assignments within `radius` flips of a base assignment of k
+    variables, one bit each: the mask of all those bits, and per variable
+    the bits whose assignment flips it.
+
+    Bit 0 flips nothing; the next bits flip each set of 1..radius variables
+    once, in `combinations` order.
+    """
+    flips = [0] * k
+    bit = 0
+    for r in range(radius + 1):
+        for chosen in combinations(range(k), r):
+            for j in chosen:
+                flips[j] |= 1 << bit
+            bit += 1
+    return (1 << bit) - 1, tuple(flips)
 
 
 def _eval_gate_masked(kind: str, ins: list[int], full: int) -> int:
@@ -330,27 +365,19 @@ def region_sweep(c: Circuit, site: FaultSite) -> RegionSweep | None:
     return RegionSweep(site.static_ffs, full, rank, good)
 
 
-def _simulate_patterns(
-    c: Circuit, site: FaultSite, cap: int, sweep: RegionSweep
-) -> tuple[list[tuple[int, ...]], bool]:
-    """The site's distinct difference vectors (at most `cap`) and whether
-    there were more, from its region's good-circuit sweep.
+def _difference_masks(
+    c: Circuit, site: FaultSite, good: dict[int, int], full: int, fanout: Iterable[int]
+) -> list[int]:
+    """Per flip-flop of the site, the assignments (bits of `full`) under which
+    its D pin differs between the good and the faulty circuit.
 
-    Only the site's fan-out inside the region is re-simulated: every other
-    region net has its good value in the faulty circuit too.
+    `good` holds the good value of every region net; `fanout` lists, in
+    topological order, the gates downstream of the site.  Only those are
+    re-simulated with the site inverted: every other net keeps its good
+    value in the faulty circuit.
     """
-    if sweep.static_ffs != site.static_ffs:
-        raise ValueError("the sweep is of another region than the site's")
-    good, full, rank = sweep.good, sweep.full, sweep.rank
-    fanout: set[int] = set()
-    todo = [site.site_net]
-    while todo:
-        for gid in c.fanout_gates[todo.pop()]:
-            if gid in rank and gid not in fanout:
-                fanout.add(gid)
-                todo.append(c.gates[gid].output)
     faulty = {site.site_net: good[site.site_net] ^ full}
-    for gid in sorted(fanout, key=rank.__getitem__):
+    for gid in fanout:
         g = c.gates[gid]
         faulty[g.output] = _eval_gate_masked(
             g.kind, [faulty.get(n, good[n]) for n in g.inputs], full
@@ -359,8 +386,43 @@ def _simulate_patterns(
     for f in site.static_ffs:
         d = c.flipflops[f].d_net
         diffs.append(good[d] ^ faulty.get(d, good[d]))
-    found = _distinct_patterns(diffs, site.static_ffs, full, limit=cap + 1)
+    return diffs
+
+
+def _simulate_patterns(
+    c: Circuit, site: FaultSite, cap: int, sweep: RegionSweep
+) -> tuple[list[tuple[int, ...]], bool]:
+    """The site's distinct difference vectors (at most `cap`) and whether
+    there were more, from its region's good-circuit sweep."""
+    if sweep.static_ffs != site.static_ffs:
+        raise ValueError("the sweep is of another region than the site's")
+    rank = sweep.rank
+    fanout: set[int] = set()
+    todo = [site.site_net]
+    while todo:
+        for gid in c.fanout_gates[todo.pop()]:
+            if gid in rank and gid not in fanout:
+                fanout.add(gid)
+                todo.append(c.gates[gid].output)
+    diffs = _difference_masks(
+        c, site, sweep.good, sweep.full, sorted(fanout, key=rank.__getitem__)
+    )
+    found = _distinct_patterns(diffs, site.static_ffs, sweep.full, limit=cap + 1)
     return found[:cap], len(found) > cap
+
+
+def _neighbourhood_diffs(
+    c: Circuit, m: MiterInstance, support: tuple[int, ...], base: list[bool]
+) -> tuple[list[int], int]:
+    """`_difference_masks` of the miter's site over the assignments within
+    HARVEST_RADIUS flips of `base` (one value per support net), one bit
+    each with `base` itself at bit 0, and the mask of those bits."""
+    full, flips = _flip_masks(len(support), HARVEST_RADIUS)
+    good = {net: (full if b else 0) ^ fl for net, b, fl in zip(support, base, flips)}
+    for gid in m.region_gates:
+        g = c.gates[gid]
+        good[g.output] = _eval_gate_masked(g.kind, [good[n] for n in g.inputs], full)
+    return _difference_masks(c, m.site, good, full, m.dup_gates), full
 
 
 def enumerate_patterns(
@@ -374,10 +436,12 @@ def enumerate_patterns(
 
     With `sweep`, the good-circuit sweep of the site's region, the vectors
     are read off simulation (see `region_sweep`).  Without it, iterated
-    SAT: each found vector is blocked by a clause over the difference
-    variables only, so patterns (not models) are enumerated.  More than
-    `cap` patterns, or a solver budget exhaustion, yields an Overflow
-    result that falls back to the static set (sound, never wrong).
+    SAT: each model's neighbourhood of support assignments is simulated,
+    and every new vector found there is listed and blocked by a clause over
+    the difference variables only, so patterns (not models) are enumerated
+    until the solver proves none is left.  More than `cap` patterns (the
+    first `cap` are listed), or a solver budget exhaustion, yields an
+    Overflow result that falls back to the static set (sound, never wrong).
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -401,13 +465,18 @@ def enumerate_patterns(
     solver = CdclSolver(f.num_vars)
     for cl in f.clauses:
         solver.add_clause(cl)
-    dvars = [f.diff_vars[ff] for ff in m.site.static_ffs]
+    ffs = m.site.static_ffs
+    dvars = [f.diff_vars[ff] for ff in ffs]
     solver.add_clause(dvars)  # some difference must be observed
+    support = site_support(c, site)
+    svars = [f.good_vars[net] for net in support]
 
-    patterns: list[DifferencePattern] = []
+    found: dict[tuple[int, ...], None] = {}   # insertion-ordered set
     overflow = unknown = complete = False
+    solves = 0
     while True:
         res = solver.solve(conflict_limit=conflict_limit)
+        solves += 1
         if res.status == UNKNOWN:
             unknown = True
             overflow = True
@@ -415,22 +484,34 @@ def enumerate_patterns(
         if res.status == UNSAT:
             complete = True
             break
-        if len(patterns) >= cap:
+        if len(found) >= cap:
             overflow = True
             break
         model = res.model
-        members = tuple(ff for ff, dv in zip(m.site.static_ffs, dvars) if model[dv])
-        patterns.append(DifferencePattern(site_name, FFSet(members)))
-        solver.add_clause([-dv if model[dv] else dv for dv in dvars])
+        diffs, full = _neighbourhood_diffs(c, m, support, [model[v] for v in svars])
+        own = tuple(ff for ff, dv in zip(ffs, dvars) if model[dv])
+        if own != tuple(ff for ff, d in zip(ffs, diffs) if d & 1):
+            raise RuntimeError(
+                f"site '{site_name}': the SAT model's difference vector {own} is not "
+                "what simulating its assignment gives; encoding and evaluator disagree"
+            )
+        for members in _distinct_patterns(diffs, ffs, full):
+            if members not in found:
+                found[members] = None
+                solver.add_clause([-dv if ff in members else dv for ff, dv in zip(ffs, dvars)])
+        if len(found) > cap:
+            overflow = True
+            break
     return PatternResult(
         site=site_name,
-        patterns=tuple(patterns),
+        patterns=tuple(DifferencePattern(site_name, FFSet(ms)) for ms in list(found)[:cap]),
         complete=complete,
         overflow=overflow,
         unknown=unknown,
         static_ffs=static,
         seconds=time.perf_counter() - t0,
         engine="sat",
+        solves=solves,
     )
 
 

@@ -382,11 +382,11 @@ def test_verbose_per_site_timing_on_stderr(tmp_path, capsys, jobs):
     err = capsys.readouterr().err
     assert run_cli(["propagate", "--input", src, "--out", quiet, "--jobs", jobs]) == EXIT_OK
     analysed = [row["site"] for row in read_json(out / "patterns.json")["sites"]]
-    logged = re.findall(r"^\[set2seu\]\s+site (\S+): \d+ patterns.* in \d+\.\d{3}s$", err, re.M)
-    assert analysed and sorted(logged) == sorted(analysed)
-    engines = re.findall(r"^\[set2seu\]\s+site \S+: .* by (\w+) in \d+\.\d{3}s$", err, re.M)
-    assert len(engines) == len(analysed)
-    assert set(engines) == {"sim"}  # every divergent3 support is far below the limit
+    line = r"^\[set2seu\]\s+site (\S+): \d+ patterns.* by (\w+) in \d+\.\d{3}s, (\d+) solves$"
+    logged = re.findall(line, err, re.M)
+    assert analysed and sorted(name for name, _, _ in logged) == sorted(analysed)
+    # every divergent3 support is far below the limit, so no site calls the solver
+    assert {(engine, solves) for _, engine, solves in logged} == {("sim", "0")}
     assert (out / "patterns.json").read_bytes() == (quiet / "patterns.json").read_bytes()
 
 

@@ -1,13 +1,18 @@
+from itertools import combinations
+
 import pytest
 
-from set2seu import parse_bench
+from set2seu import parse_bench, propagation
 from set2seu.cones import enumerate_fault_sites, site_support
-from set2seu.ffsets import SetCollection, collect_static_sets, ffset
+from set2seu.ffsets import FFSet, SetCollection, collect_static_sets, ffset
 from set2seu.oracle import exhaustive_patterns, simulate
 from set2seu.propagation import (
     SIM_SUPPORT_LIMIT,
     DifferencePattern,
     PatternResult,
+    _flip_masks,
+    _neighbourhood_diffs,
+    _var_mask,
     _work_units,
     analyze_sites,
     build_miter,
@@ -44,6 +49,13 @@ def enumerate_with(engine, c, site, **kwargs):
     r = enumerate_patterns(c, site, sweep=sweep, **kwargs)
     assert r.engine == engine
     return r
+
+
+def plain_sat(c, site, **kwargs):
+    """The SAT engine with a harvest radius of 0: one pattern per solve call."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(propagation, "HARVEST_RADIUS", 0)
+        return enumerate_patterns(c, site, **kwargs)
 
 
 def downstream(c, net):
@@ -323,6 +335,112 @@ def test_work_units_keep_simulated_regions_whole_and_split_sat_sites():
             sat_regions.append(u[0].static_ffs)
     assert max(len(u) for u in units) > 1
     assert len(set(sat_regions)) < len(sat_regions)
+
+
+# -- SAT engine: each model's neighbourhood is simulated ---------------------------
+
+
+@pytest.mark.parametrize(
+    "circuits",
+    [
+        pytest.param(lambda: corpus(12345, 200, max_gates=40, max_ffs=8, max_pis=6), id="corpus"),
+        pytest.param(
+            lambda: [make_random_circuit(seed, n_pis=6, n_ffs=24, n_gates=90, n_pos=2)
+                     for seed in range(3)],
+            id="support_limit",
+        ),
+    ],
+)
+def test_harvest_matches_plain_sat(circuits):
+    checked = 0
+    for c in circuits():
+        for site in enumerate_fault_sites(c):
+            if not site.static_ffs:
+                continue
+            plain = plain_sat(c, site)
+            assert plain.solves == len(plain.patterns) + 1
+            r = enumerate_patterns(c, site)
+            assert r.engine == "sat" and 1 <= r.solves <= plain.solves
+            assert outcome(r) == outcome(plain), c.net_names[site.site_net]
+            checked += 1
+    assert checked > 100
+
+
+def test_harvest_takes_few_solves_on_wide_fanout():
+    # s = XOR(a0..a6) fans out to d_i = AND(s, p_i): an upset of s reaches
+    # exactly the FFs whose p_i is 1, so every nonempty subset of the 10 FFs
+    # is a pattern, and the support (17 nets) is above the limit
+    lines = [f"INPUT(a{j})" for j in range(7)] + [f"INPUT(p{i})" for i in range(10)]
+    lines.append(f"s = XOR({', '.join(f'a{j}' for j in range(7))})")
+    for i in range(10):
+        lines += [f"d{i} = AND(s, p{i})", f"f{i} = DFF(d{i})", f"OUTPUT(f{i})"]
+    c = parse_bench("\n".join(lines))
+    site = sites_by_name(c)["s"]
+    assert len(site_support(c, site)) > SIM_SUPPORT_LIMIT
+    r = analyze_sites(c, [site])["s"]
+    assert r.engine == "sat" and r.complete and not r.overflow
+    assert pattern_set(r) == {
+        m for size in range(1, 11) for m in combinations(range(10), size)
+    }
+    assert r.solves * 10 < len(r.patterns)  # one call a pattern would be 1,024 calls
+
+
+def test_harvest_overshooting_cap_lists_cap_real_patterns():
+    c = make_random_circuit(1, n_pis=6, n_ffs=24, n_gates=90, n_pos=2)
+    site = sites_by_name(c)["n4"]  # support 19, 41 patterns
+    real = {p.ffs.members for p in exhaustive_patterns(c, site)}
+    full = enumerate_patterns(c, site)
+    assert full.complete and pattern_set(full) == real
+    r = enumerate_patterns(c, site, cap=3)
+    assert r.solves == 1  # the first harvest alone passed the cap
+    assert r.overflow and not r.complete and not r.unknown
+    assert len(r.patterns) == 3 and pattern_set(r) <= real
+    assert r.effective_sets() == (FFSet(site.static_ffs),)
+    exact = enumerate_patterns(c, site, cap=len(real))
+    assert exact.complete and not exact.overflow
+    assert pattern_set(exact) == real
+
+
+def test_neighbourhood_bits_match_scalar_simulation():
+    """Bit b of the harvest's difference masks is the difference vector of
+    the b-th assignment of the Hamming ball, as `oracle.simulate` gives it."""
+    import random
+
+    rng = random.Random(5)
+    c = make_random_circuit(0, n_pis=6, n_ffs=24, n_gates=90, n_pos=2)
+    work = [s for s in enumerate_fault_sites(c) if s.static_ffs]
+    for site in sorted(work, key=lambda s: -len(site_support(c, s)))[:4]:
+        support = site_support(c, site)
+        base = [rng.random() < 0.5 for _ in support]
+        diffs, full = _neighbourhood_diffs(c, build_miter(c, site), support, base)
+        _, flips = _flip_masks(len(support), propagation.HARVEST_RADIUS)
+        for b in range(full.bit_length()):
+            assignment = {n: False for n in range(c.num_nets) if c.driver[n][0] != "gate"}
+            assignment.update(
+                {net: v != bool(fl >> b & 1) for net, v, fl in zip(support, base, flips)}
+            )
+            good = simulate(c, assignment)
+            bad = simulate(c, assignment, forced_flip=site.site_net)
+            want = [good[c.flipflops[f].d_net] != bad[c.flipflops[f].d_net] for f in site.static_ffs]
+            assert [bool(d >> b & 1) for d in diffs] == want
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_var_mask_matches_definition(k):
+    for v in range(k):
+        assert _var_mask(v, k) == sum(((i >> v) & 1) << i for i in range(1 << k))
+
+
+@pytest.mark.parametrize("radius", range(3))
+@pytest.mark.parametrize("k", range(1, 7))
+def test_flip_masks_cover_the_hamming_ball_once(k, radius):
+    full, flips = _flip_masks(k, radius)
+    bits = full.bit_length()
+    assert full == (1 << bits) - 1 and all(fl & ~full == 0 for fl in flips)
+    flipped = [tuple(j for j in range(k) if flips[j] >> b & 1) for b in range(bits)]
+    assert flipped[0] == ()
+    want = [m for r in range(radius + 1) for m in combinations(range(k), r)]
+    assert flipped == want
 
 
 def test_sweep_of_another_region_rejected(divergent3):
