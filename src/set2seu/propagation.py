@@ -18,8 +18,13 @@ answers each region with one of two exact engines:
   assignment and of every assignment within HARVEST_RADIUS flips of it
   (after Larrabee's fault simulation of SAT-generated test vectors, IEEE
   TCAD 1992).  Each difference vector found there that is not yet listed
-  is recorded and blocked by a clause over the difference variables.
-  Every listed vector thus comes from a concrete assignment, and the loop
+  is recorded and blocked.  Blocking is by cubes: a new vector is widened,
+  one flip-flop at a time, to a subcube of vectors that are all listed
+  already, and one clause over the difference variables of the cube's
+  fixed flip-flops blocks the whole cube (cube enlargement as in McMillan,
+  "Applying SAT methods in unbounded symbolic model checking", CAV 2002,
+  here only over listed vectors).  Every listed vector thus comes from a
+  concrete assignment, no unlisted vector is ever blocked, and the loop
   ends only when the solver proves that no unblocked vector is left.
 
 Both give the same patterns; the sweep's cost grows as 2**k times the
@@ -29,7 +34,7 @@ region's gates, so it is only used where that is small.
 from __future__ import annotations
 
 import time
-from collections.abc import Iterable
+from collections.abc import Container, Iterable
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, repeat
@@ -48,11 +53,11 @@ DEFAULT_CONFLICT_CAP = 10**6
 SIM_SUPPORT_LIMIT = 16
 # Hamming radius of the neighbourhood simulated around each SAT model; the
 # neighbourhood has 1 + k + ... + C(k, radius) assignments for support k.
-# Measured on wide50's largest site (support 52, 3,047 patterns, same
-# machine): radius 0 takes 3,048 solve calls and 4.7 s, radius 1 560 calls
-# and 1.5 s, radius 2 140 calls and 1.1 s, radius 3 45 calls and 0.9 s, but
-# radius 3 simulates 23,479 assignments per model at support 52 and grows
-# as k**3.
+# Measured with cube blocking on wide50's largest site (support 52, 15
+# flip-flops, 3,047 patterns, same machine, best of 3): radius 0 takes 3,048
+# solve calls and 4.0 s, radius 1 665 calls and 0.95 s, radius 2 134 calls
+# and 0.55 s, radius 3 58 calls and 0.47 s, but radius 3 simulates 23,479
+# assignments per model at support 52 and grows as k**3.
 HARVEST_RADIUS = 2
 
 
@@ -110,15 +115,14 @@ class PatternResult:
         """
         if self.overflow or self.unknown:
             return (self.static_ffs,)
-        sets = [frozenset(p.ffs.members) for p in self.patterns]
-        keep = [s for s in sets if not any(s < t for t in sets)]
-        seen: set[frozenset] = set()
-        out = []
-        for s in keep:
-            if s not in seen:
-                seen.add(s)
-                out.append(FFSet(tuple(sorted(s))))
-        return tuple(out)
+        sets = dict.fromkeys(frozenset(p.ffs.members) for p in self.patterns)
+        maximal: list[frozenset] = []
+        # a strict superset is larger, so it is already kept when s comes up
+        for s in sorted(sets, key=len, reverse=True):
+            if not any(s < t for t in maximal):
+                maximal.append(s)
+        keep = set(maximal)
+        return tuple(FFSet(tuple(sorted(s))) for s in sets if s in keep)
 
 
 def build_miter(c: Circuit, site: FaultSite) -> MiterInstance:
@@ -425,6 +429,27 @@ def _neighbourhood_diffs(
     return _difference_masks(c, m.site, good, full, m.dup_gates), full
 
 
+def _blocking_cube(v: int, listed: Container[int], k: int) -> tuple[int, int]:
+    """A subcube of `listed` that holds `v`, as (base, free) bitmasks over k
+    positions: the cube is every vector that agrees with `base` outside
+    `free`.
+
+    Positions are freed greedily in order 0..k-1; position j is freed only
+    when flipping bit j of every vector of the cube so far gives a listed
+    vector.  No fixed position can then be freed, and blocking the cube
+    blocks only listed vectors.
+    """
+    cube = [v]
+    free = 0
+    for j in range(k):
+        bit = 1 << j
+        flipped = [u ^ bit for u in cube]
+        if all(u in listed for u in flipped):
+            cube += flipped
+            free |= bit
+    return v & ~free, free
+
+
 def enumerate_patterns(
     c: Circuit,
     site: FaultSite,
@@ -438,10 +463,11 @@ def enumerate_patterns(
     are read off simulation (see `region_sweep`).  Without it, iterated
     SAT: each model's neighbourhood of support assignments is simulated,
     and every new vector found there is listed and blocked by a clause over
-    the difference variables only, so patterns (not models) are enumerated
-    until the solver proves none is left.  More than `cap` patterns (the
-    first `cap` are listed), or a solver budget exhaustion, yields an
-    Overflow result that falls back to the static set (sound, never wrong).
+    difference variables only (see `_blocking_cube`), so patterns (not
+    models) are enumerated until the solver proves none is left.  More than
+    `cap` patterns (the first `cap` are listed), or a solver budget
+    exhaustion, yields an Overflow result that falls back to the static set
+    (sound, never wrong).
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -471,7 +497,8 @@ def enumerate_patterns(
     support = site_support(c, site)
     svars = [f.good_vars[net] for net in support]
 
-    found: dict[tuple[int, ...], None] = {}   # insertion-ordered set
+    pos = {ff: j for j, ff in enumerate(ffs)}
+    found: dict[int, tuple[int, ...]] = {}   # vector, bit j for ffs[j] -> its FFs
     overflow = unknown = complete = False
     solves = 0
     while True:
@@ -495,16 +522,32 @@ def enumerate_patterns(
                 f"site '{site_name}': the SAT model's difference vector {own} is not "
                 "what simulating its assignment gives; encoding and evaluator disagree"
             )
+        if sum(1 << pos[ff] for ff in own) in found:
+            # without this, the loop would find the unblocked vector forever
+            raise RuntimeError(f"site '{site_name}': the listed vector {own} was not blocked")
+        new = []
         for members in _distinct_patterns(diffs, ffs, full):
-            if members not in found:
-                found[members] = None
-                solver.add_clause([-dv if ff in members else dv for ff, dv in zip(ffs, dvars)])
+            v = sum(1 << pos[ff] for ff in members)
+            if v not in found:
+                found[v] = members
+                new.append(v)
+        cubes: list[tuple[int, int]] = []
+        for v in new:
+            if any(v & ~free == base for base, free in cubes):
+                continue
+            base, free = _blocking_cube(v, found, len(ffs))
+            cubes.append((base, free))
+            solver.add_clause(
+                [-dv if base >> j & 1 else dv for j, dv in enumerate(dvars) if not free >> j & 1]
+            )
         if len(found) > cap:
             overflow = True
             break
     return PatternResult(
         site=site_name,
-        patterns=tuple(DifferencePattern(site_name, FFSet(ms)) for ms in list(found)[:cap]),
+        patterns=tuple(
+            DifferencePattern(site_name, FFSet(ms)) for ms in list(found.values())[:cap]
+        ),
         complete=complete,
         overflow=overflow,
         unknown=unknown,

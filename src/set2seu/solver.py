@@ -119,9 +119,10 @@ class CdclSolver:
             if lit in seen:
                 continue
             seen.add(lit)
-            if self._value(lit) is True and self.level[v] == 0:
-                return  # already satisfied forever
-            if self._value(lit) is False and self.level[v] == 0:
+            val = self._value(lit)
+            if val is not None and self.level[v] == 0:
+                if val:
+                    return  # already satisfied forever
                 continue  # falsified forever: drop literal
             out.append(lit)
         if not out:

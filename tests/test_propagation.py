@@ -10,6 +10,7 @@ from set2seu.propagation import (
     SIM_SUPPORT_LIMIT,
     DifferencePattern,
     PatternResult,
+    _blocking_cube,
     _flip_masks,
     _neighbourhood_diffs,
     _var_mask,
@@ -24,7 +25,7 @@ from set2seu.propagation import (
     region_sweep,
 )
 from set2seu.random_circuits import corpus, make_random_circuit
-from set2seu.solver import SAT, UNSAT, parse_dimacs, solve_cnf
+from set2seu.solver import SAT, UNSAT, CdclSolver, parse_dimacs, solve_cnf
 
 
 def sites_by_name(c):
@@ -366,16 +367,20 @@ def test_harvest_matches_plain_sat(circuits):
     assert checked > 100
 
 
-def test_harvest_takes_few_solves_on_wide_fanout():
-    # s = XOR(a0..a6) fans out to d_i = AND(s, p_i): an upset of s reaches
-    # exactly the FFs whose p_i is 1, so every nonempty subset of the 10 FFs
-    # is a pattern, and the support (17 nets) is above the limit
+def wide_fanout():
+    """s = XOR(a0..a6) fans out to d_i = AND(s, p_i): an upset of s reaches
+    exactly the FFs whose p_i is 1, so every nonempty subset of the 10 FFs
+    is a pattern, and the support (17 nets) is above the limit."""
     lines = [f"INPUT(a{j})" for j in range(7)] + [f"INPUT(p{i})" for i in range(10)]
     lines.append(f"s = XOR({', '.join(f'a{j}' for j in range(7))})")
     for i in range(10):
         lines += [f"d{i} = AND(s, p{i})", f"f{i} = DFF(d{i})", f"OUTPUT(f{i})"]
     c = parse_bench("\n".join(lines))
-    site = sites_by_name(c)["s"]
+    return c, sites_by_name(c)["s"]
+
+
+def test_harvest_takes_few_solves_on_wide_fanout():
+    c, site = wide_fanout()
     assert len(site_support(c, site)) > SIM_SUPPORT_LIMIT
     r = analyze_sites(c, [site])["s"]
     assert r.engine == "sat" and r.complete and not r.overflow
@@ -383,6 +388,44 @@ def test_harvest_takes_few_solves_on_wide_fanout():
         m for size in range(1, 11) for m in combinations(range(10), size)
     }
     assert r.solves * 10 < len(r.patterns)  # one call a pattern would be 1,024 calls
+
+
+def test_cube_blocking_adds_fewer_clauses_than_patterns():
+    c, site = wide_fanout()
+    f = encode_cnf(build_miter(c, site), c)
+    added = []
+    add_clause = CdclSolver.add_clause
+
+    def recording(self, lits):
+        added.append(list(lits))
+        add_clause(self, added[-1])
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(CdclSolver, "add_clause", recording)
+        r = enumerate_patterns(c, site)
+    assert r.complete and len(r.patterns) == 1023
+    assert added[: len(f.clauses)] == [list(cl) for cl in f.clauses]
+    blocking = added[len(f.clauses) + 1 :]  # after "some difference is observed"
+    dvars = set(f.diff_vars.values())
+    assert all(abs(lit) in dvars for cl in blocking for lit in cl)
+    assert len(blocking) < len(r.patterns)  # one clause a pattern would be 1,023
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_blocking_cube_is_a_maximal_listed_subcube(k):
+    import random
+
+    rng = random.Random(k)
+    for density in (0.2, 0.5, 0.8, 1.0):
+        listed = {v for v in range(1, 1 << k) if rng.random() < density}
+        for v in listed:
+            base, free = _blocking_cube(v, listed, k)
+            assert base & free == 0 and v & ~free == base
+            cube = [base | sub for sub in range(1 << k) if sub & ~free == 0]
+            assert set(cube) <= listed
+            for j in range(k):
+                if not free >> j & 1:
+                    assert any(u ^ 1 << j not in listed for u in cube), (v, j)
 
 
 def test_harvest_overshooting_cap_lists_cap_real_patterns():
@@ -476,6 +519,32 @@ def mk_result(site, vectors, static):
         unknown=False,
         static_ffs=static,
     )
+
+
+def maximal_by_definition(r):
+    """`effective_sets` of a complete result as the quadratic definition
+    gives it: every set with no strict superset, in pattern order, once."""
+    sets = [frozenset(p.ffs.members) for p in r.patterns]
+    keep = [s for s in sets if not any(s < t for t in sets)]
+    return tuple(FFSet(tuple(sorted(s))) for s in dict.fromkeys(keep))
+
+
+def test_effective_sets_match_quadratic_definition():
+    static = ffset(range(6))
+    crafted = mk_result(
+        "s",
+        # duplicates, the chain {1} < {1,2} < {1,2,3,5}, and two incomparable
+        # maximal sets, the larger one listed last
+        [[1], [4], [1, 2], [1], [0, 4, 5], [1, 2, 3, 5], [4, 5], [1, 2, 3, 5], [0, 4, 5], [2, 3]],
+        static,
+    )
+    assert crafted.effective_sets() == (ffset([0, 4, 5]), ffset([1, 2, 3, 5]))
+    results = [crafted]
+    for c in corpus(12345, 200, max_gates=40, max_ffs=8, max_pis=6):
+        results += analyze_sites(c, enumerate_fault_sites(c)).values()
+    assert sum(len(r.patterns) > 1 for r in results) > 100
+    for r in results:
+        assert r.effective_sets() == maximal_by_definition(r)
 
 
 def test_optimize_motivational_transformation():
