@@ -48,6 +48,10 @@ class RunConfig:
             raise ValueError("jobs must be >= 1")
         if self.pattern_cap < 1:
             raise ValueError("pattern_cap must be >= 1")
+        if self.conflict_cap < 0:
+            raise ValueError("conflict_cap must be >= 0")
+        if not self.margins:
+            raise ValueError("margins must list at least one margin")
         for m in self.margins:
             if not 0 < m < 1:
                 raise ValueError(f"margin {m} outside (0, 1)")

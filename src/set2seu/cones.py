@@ -149,24 +149,24 @@ def _make_site(c: Circuit, net: int, region: frozenset[int]) -> FaultSite:
     )
 
 
-def site_support(c: Circuit, site: FaultSite) -> tuple[int, ...]:
-    """Free inputs governing the site's fault behaviour.
-
-    PIs and FF Q nets inside the union of the affected flip-flops' cone
-    closures; these are the variables the good/faulty comparison is
-    quantified over.
-    """
-    mask = sum(1 << f for f in site.static_ffs)
-    return tuple(
-        net for net, r in enumerate(c.ff_reach)
-        if r & mask and c.driver[net][0] != "gate"
-    )
-
-
 def relevant_closure(c: Circuit, site: FaultSite) -> frozenset[int]:
     """Union of the affected FFs' cone closures (the analysis region)."""
     mask = sum(1 << f for f in site.static_ffs)
     return frozenset(net for net, r in enumerate(c.ff_reach) if r & mask)
+
+
+def closure_support(c: Circuit, closure: frozenset[int]) -> tuple[int, ...]:
+    """The PI and FF Q nets of `closure`, ascending."""
+    return tuple(sorted(n for n in closure if c.driver[n][0] != "gate"))
+
+
+def site_support(c: Circuit, site: FaultSite) -> tuple[int, ...]:
+    """Free inputs governing the site's fault behaviour.
+
+    The PIs and FF Q nets of its `relevant_closure`; these are the
+    variables the good/faulty comparison is quantified over.
+    """
+    return closure_support(c, relevant_closure(c, site))
 
 
 # -- JSON views -----------------------------------------------------------

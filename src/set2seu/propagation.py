@@ -2,23 +2,26 @@
 
 A site's region is the union of the fan-in cones of the flip-flops it
 reaches (its `static_ffs`); the region's PIs and FF Q nets are its support.
-Sites with the same `static_ffs` share a region, and `analyze_sites`
-answers each region with one of two exact engines:
+Sites with the same `static_ffs` share a region, and `analyze_sites` builds
+each region once (`build_region`: its support and its gates in topological
+order) and hands it to one of two exact engines, which both read it:
 
 - Simulation, when the support has at most SIM_SUPPORT_LIMIT nets.  The
-  good circuit is swept once for the whole region, every support
-  assignment at once, one bit per assignment in a 2**k-bit integer.  Each
-  site then re-simulates only its own faulty fan-out, and the assignments
-  are split into classes of equal difference vectors at the flip-flops.
-- SAT otherwise.  A miter pairs the good circuit with a faulty copy in
-  which the site net is inverted for the whole cycle, sharing every net
-  that is not downstream of the site.  Difference variables compare the
-  good and faulty values at each reachable flip-flop's D pin.  Each model
-  the solver finds seeds a bit-parallel simulation of its support
-  assignment and of every assignment within HARVEST_RADIUS flips of it
-  (after Larrabee's fault simulation of SAT-generated test vectors, IEEE
-  TCAD 1992).  Each difference vector found there that is not yet listed
-  is recorded and blocked.  Blocking is by cubes: a new vector is widened,
+  region's good circuit is swept once, every support assignment at once,
+  one bit per assignment in a 2**k-bit integer.  Each site then
+  re-simulates only its own faulty fan-out in the region, and the
+  assignments are split into classes of equal difference vectors at the
+  flip-flops.
+- SAT otherwise.  A miter pairs the region's good circuit with a faulty
+  copy of the site's fan-out in it, in which the site net is inverted for
+  the whole cycle; every other net is shared.  Difference variables
+  compare the good and faulty values at each reachable flip-flop's D pin.
+  Each model the solver finds seeds a bit-parallel simulation of its
+  support assignment and of every assignment within HARVEST_RADIUS flips
+  of it (after Larrabee's fault simulation of SAT-generated test vectors,
+  IEEE TCAD 1992), with the same good-circuit loop and fan-out as the
+  sweep.  Each difference vector found there that is not yet listed is
+  recorded and blocked.  Blocking is by cubes: a new vector is widened,
   one flip-flop at a time, to a subcube of vectors that are all listed
   already, and one clause over the difference variables of the cube's
   fixed flip-flops blocks the whole cube (cube enlargement as in McMillan,
@@ -39,7 +42,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, repeat
 
-from .cones import FaultSite, relevant_closure, site_support
+from .cones import FaultSite, closure_support, relevant_closure
 from .ffsets import FFSet, SetCollection
 from .netlist import Circuit
 from .solver import UNKNOWN, UNSAT, CdclSolver, to_dimacs
@@ -70,10 +73,27 @@ class DifferencePattern:
 
 
 @dataclass(frozen=True)
+class Region:
+    """The union of the fan-in cones of a set of flip-flops.
+
+    Every site that reaches exactly these flip-flops is analysed over it.
+    """
+
+    static_ffs: tuple[int, ...]    # the flip-flops
+    support: tuple[int, ...]       # its PI and FF Q nets, ascending
+    gates: tuple[int, ...]         # its gate ids, in topological order
+
+    @property
+    def simulated(self) -> bool:
+        """Whether the simulation engine answers the region's sites."""
+        return len(self.support) <= SIM_SUPPORT_LIMIT
+
+
+@dataclass(frozen=True)
 class MiterInstance:
     site: FaultSite
+    region: Region
     region_nets: frozenset[int]        # everything the comparison depends on
-    region_gates: tuple[int, ...]      # topo-ordered gate ids of the region
     dup_gates: tuple[int, ...]         # gates duplicated into the faulty copy
 
 
@@ -125,30 +145,41 @@ class PatternResult:
         return tuple(FFSet(tuple(sorted(s))) for s in sets if s in keep)
 
 
-def build_miter(c: Circuit, site: FaultSite) -> MiterInstance:
-    """Pair a good copy with a faulty copy of the site's fanout closure.
-
-    Only the logic inside the affected flip-flops' fan-in cones matters for
-    the comparison, so the encoding region is restricted to it.
-    """
+def build_region(c: Circuit, site: FaultSite) -> Region:
+    """The region of the flip-flops `site` reaches, from one scan of the nets."""
     if not site.static_ffs:
         raise ValueError(
             f"site '{c.net_names[site.site_net]}' reaches no flip-flop; nothing to analyze"
         )
-    region = relevant_closure(c, site)
-    region_gates = tuple(
-        gid for gid in c.topo_gates if c.gates[gid].output in region
-    )
+    closure = relevant_closure(c, site)
+    gates = tuple(gid for gid in c.topo_gates if c.gates[gid].output in closure)
+    return Region(site.static_ffs, closure_support(c, closure), gates)
+
+
+def _faulty_fanout(c: Circuit, region: Region, site: FaultSite) -> tuple[int, ...]:
+    """The region's gates downstream of the site, in topological order: the
+    gates whose faulty value can differ from their good one."""
     down = {site.site_net}
-    for gid in region_gates:
+    fanout = []
+    for gid in region.gates:
         g = c.gates[gid]
-        if any(n in down for n in g.inputs):
+        if not down.isdisjoint(g.inputs):
             down.add(g.output)
-    dup = tuple(
-        gid for gid in region_gates
-        if c.gates[gid].output in down and c.gates[gid].output != site.site_net
-    )
-    return MiterInstance(site=site, region_nets=region, region_gates=region_gates, dup_gates=dup)
+            fanout.append(gid)
+    return tuple(fanout)
+
+
+def build_miter(c: Circuit, site: FaultSite, region: Region | None = None) -> MiterInstance:
+    """Pair a good copy of the site's region (built when not given) with a
+    faulty copy of the site's fan-out in it.
+
+    Only the logic inside the affected flip-flops' fan-in cones matters for
+    the comparison, so the encoding is restricted to the region.
+    """
+    if region is None:
+        region = build_region(c, site)
+    nets = frozenset(region.support).union(c.gates[gid].output for gid in region.gates)
+    return MiterInstance(site, region, nets, _faulty_fanout(c, region, site))
 
 
 # -- Tseitin encoding ------------------------------------------------------
@@ -220,7 +251,7 @@ def encode_cnf(m: MiterInstance, c: Circuit) -> CnfFormula:
     )
 
     cls = formula.clauses
-    for gid in m.region_gates:
+    for gid in m.region.gates:
         g = c.gates[gid]
         cls.extend(gate_clauses(g.kind, good[g.output], [good[n] for n in g.inputs], new_var))
     for gid in m.dup_gates:
@@ -335,38 +366,21 @@ def _distinct_patterns(
     return out
 
 
-@dataclass(frozen=True)
-class RegionSweep:
-    """Good-circuit values of one region under every support assignment.
-
-    Net values are 2**k-bit integers: bit i is the value under the
-    assignment whose j-th support net is (i >> j) & 1.
-    """
-
-    static_ffs: tuple[int, ...]    # the region's flip-flops
-    full: int                      # all 2**k assignments
-    rank: dict[int, int]           # region gate id -> topological position
-    good: dict[int, int]           # region net -> value mask
-
-
-def region_sweep(c: Circuit, site: FaultSite) -> RegionSweep | None:
-    """Simulate the good circuit of `site`'s region, or None when its support
-    exceeds SIM_SUPPORT_LIMIT nets."""
-    support = site_support(c, site)
-    k = len(support)
-    if k > SIM_SUPPORT_LIMIT:
-        return None
-    mask = sum(1 << f for f in site.static_ffs)
-    reach = c.ff_reach
-    full = (1 << (1 << k)) - 1
-    good = {net: _var_mask(j, k) for j, net in enumerate(support)}
-    rank = {}
-    for gid in c.topo_gates:
+def _good_values(c: Circuit, region: Region, inputs: Iterable[int], full: int) -> dict[int, int]:
+    """Good-circuit value of every region net, one bit per assignment (the
+    bits of `full`), from the value of each support net in `inputs`."""
+    good = dict(zip(region.support, inputs))
+    for gid in region.gates:
         g = c.gates[gid]
-        if reach[g.output] & mask:
-            rank[gid] = len(rank)
-            good[g.output] = _eval_gate_masked(g.kind, [good[n] for n in g.inputs], full)
-    return RegionSweep(site.static_ffs, full, rank, good)
+        good[g.output] = _eval_gate_masked(g.kind, [good[n] for n in g.inputs], full)
+    return good
+
+
+def _sweep(c: Circuit, region: Region) -> dict[int, int]:
+    """`_good_values` under every support assignment: bit i is the value
+    under the assignment whose j-th support net is (i >> j) & 1."""
+    k = len(region.support)
+    return _good_values(c, region, [_var_mask(j, k) for j in range(k)], (1 << (1 << k)) - 1)
 
 
 def _difference_masks(
@@ -393,39 +407,12 @@ def _difference_masks(
     return diffs
 
 
-def _simulate_patterns(
-    c: Circuit, site: FaultSite, cap: int, sweep: RegionSweep
-) -> tuple[list[tuple[int, ...]], bool]:
-    """The site's distinct difference vectors (at most `cap`) and whether
-    there were more, from its region's good-circuit sweep."""
-    if sweep.static_ffs != site.static_ffs:
-        raise ValueError("the sweep is of another region than the site's")
-    rank = sweep.rank
-    fanout: set[int] = set()
-    todo = [site.site_net]
-    while todo:
-        for gid in c.fanout_gates[todo.pop()]:
-            if gid in rank and gid not in fanout:
-                fanout.add(gid)
-                todo.append(c.gates[gid].output)
-    diffs = _difference_masks(
-        c, site, sweep.good, sweep.full, sorted(fanout, key=rank.__getitem__)
-    )
-    found = _distinct_patterns(diffs, site.static_ffs, sweep.full, limit=cap + 1)
-    return found[:cap], len(found) > cap
-
-
-def _neighbourhood_diffs(
-    c: Circuit, m: MiterInstance, support: tuple[int, ...], base: list[bool]
-) -> tuple[list[int], int]:
+def _neighbourhood_diffs(c: Circuit, m: MiterInstance, base: list[bool]) -> tuple[list[int], int]:
     """`_difference_masks` of the miter's site over the assignments within
     HARVEST_RADIUS flips of `base` (one value per support net), one bit
     each with `base` itself at bit 0, and the mask of those bits."""
-    full, flips = _flip_masks(len(support), HARVEST_RADIUS)
-    good = {net: (full if b else 0) ^ fl for net, b, fl in zip(support, base, flips)}
-    for gid in m.region_gates:
-        g = c.gates[gid]
-        good[g.output] = _eval_gate_masked(g.kind, [good[n] for n in g.inputs], full)
+    full, flips = _flip_masks(len(m.region.support), HARVEST_RADIUS)
+    good = _good_values(c, m.region, [(full if b else 0) ^ fl for b, fl in zip(base, flips)], full)
     return _difference_masks(c, m.site, good, full, m.dup_gates), full
 
 
@@ -455,105 +442,103 @@ def enumerate_patterns(
     site: FaultSite,
     cap: int = DEFAULT_PATTERN_CAP,
     conflict_limit: int | None = DEFAULT_CONFLICT_CAP,
-    sweep: RegionSweep | None = None,
+    region: Region | None = None,
+    sweep: dict[int, int] | None = None,
 ) -> PatternResult:
     """All distinct nonempty difference vectors achievable at this site.
 
-    With `sweep`, the good-circuit sweep of the site's region, the vectors
-    are read off simulation (see `region_sweep`).  Without it, iterated
-    SAT: each model's neighbourhood of support assignments is simulated,
-    and every new vector found there is listed and blocked by a clause over
-    difference variables only (see `_blocking_cube`), so patterns (not
-    models) are enumerated until the solver proves none is left.  More than
-    `cap` patterns (the first `cap` are listed), or a solver budget
-    exhaustion, yields an Overflow result that falls back to the static set
-    (sound, never wrong).
+    `region` is the site's region, built when not given.  With `sweep`, the
+    region's `_sweep`, the vectors are read off simulation.  Without it,
+    iterated SAT: each model's neighbourhood of support assignments is
+    simulated, and every new vector found there is listed and blocked by a
+    clause over difference variables only (see `_blocking_cube`), so
+    patterns (not models) are enumerated until the solver proves none is
+    left.  More than `cap` patterns (the first `cap` are listed), or a
+    solver budget exhaustion, yields an Overflow result that falls back to
+    the static set (sound, never wrong).
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
     t0 = time.perf_counter()
+    if region is None:
+        region = build_region(c, site)
+    elif region.static_ffs != site.static_ffs:
+        raise ValueError("the region is of another flip-flop set than the site's")
     site_name = c.net_names[site.site_net]
-    static = FFSet(site.static_ffs)
-    if sweep is not None:
-        found, overflow = _simulate_patterns(c, site, cap, sweep)
-        return PatternResult(
-            site=site_name,
-            patterns=tuple(DifferencePattern(site_name, FFSet(m)) for m in found),
-            complete=not overflow,
-            overflow=overflow,
-            unknown=False,
-            static_ffs=static,
-            seconds=time.perf_counter() - t0,
-            engine="sim",
-        )
-    m = build_miter(c, site)
-    f = encode_cnf(m, c)
-    solver = CdclSolver(f.num_vars)
-    for cl in f.clauses:
-        solver.add_clause(cl)
-    ffs = m.site.static_ffs
-    dvars = [f.diff_vars[ff] for ff in ffs]
-    solver.add_clause(dvars)  # some difference must be observed
-    support = site_support(c, site)
-    svars = [f.good_vars[net] for net in support]
-
-    pos = {ff: j for j, ff in enumerate(ffs)}
-    found: dict[int, tuple[int, ...]] = {}   # vector, bit j for ffs[j] -> its FFs
-    overflow = unknown = complete = False
     solves = 0
-    while True:
-        res = solver.solve(conflict_limit=conflict_limit)
-        solves += 1
-        if res.status == UNKNOWN:
-            unknown = True
-            overflow = True
-            break
-        if res.status == UNSAT:
-            complete = True
-            break
-        if len(found) >= cap:
-            overflow = True
-            break
-        model = res.model
-        diffs, full = _neighbourhood_diffs(c, m, support, [model[v] for v in svars])
-        own = tuple(ff for ff, dv in zip(ffs, dvars) if model[dv])
-        if own != tuple(ff for ff, d in zip(ffs, diffs) if d & 1):
-            raise RuntimeError(
-                f"site '{site_name}': the SAT model's difference vector {own} is not "
-                "what simulating its assignment gives; encoding and evaluator disagree"
-            )
-        if sum(1 << pos[ff] for ff in own) in found:
-            # without this, the loop would find the unblocked vector forever
-            raise RuntimeError(f"site '{site_name}': the listed vector {own} was not blocked")
-        new = []
-        for members in _distinct_patterns(diffs, ffs, full):
-            v = sum(1 << pos[ff] for ff in members)
-            if v not in found:
-                found[v] = members
-                new.append(v)
-        cubes: list[tuple[int, int]] = []
-        for v in new:
-            if any(v & ~free == base for base, free in cubes):
-                continue
-            base, free = _blocking_cube(v, found, len(ffs))
-            cubes.append((base, free))
-            solver.add_clause(
-                [-dv if base >> j & 1 else dv for j, dv in enumerate(dvars) if not free >> j & 1]
-            )
-        if len(found) > cap:
-            overflow = True
-            break
+    if sweep is not None:
+        full = (1 << (1 << len(region.support))) - 1
+        diffs = _difference_masks(c, site, sweep, full, _faulty_fanout(c, region, site))
+        listed = _distinct_patterns(diffs, site.static_ffs, full, limit=cap + 1)
+        overflow = len(listed) > cap
+        complete, unknown = not overflow, False
+    else:
+        m = build_miter(c, site, region)
+        f = encode_cnf(m, c)
+        solver = CdclSolver(f.num_vars)
+        for cl in f.clauses:
+            solver.add_clause(cl)
+        ffs = site.static_ffs
+        dvars = [f.diff_vars[ff] for ff in ffs]
+        solver.add_clause(dvars)  # some difference must be observed
+        svars = [f.good_vars[net] for net in region.support]
+
+        pos = {ff: j for j, ff in enumerate(ffs)}
+        found: dict[int, tuple[int, ...]] = {}   # vector, bit j for ffs[j] -> its FFs
+        overflow = unknown = complete = False
+        while True:
+            res = solver.solve(conflict_limit=conflict_limit)
+            solves += 1
+            if res.status == UNKNOWN:
+                unknown = True
+                overflow = True
+                break
+            if res.status == UNSAT:
+                complete = True
+                break
+            if len(found) >= cap:
+                overflow = True
+                break
+            model = res.model
+            diffs, full = _neighbourhood_diffs(c, m, [model[v] for v in svars])
+            own = tuple(ff for ff, dv in zip(ffs, dvars) if model[dv])
+            if own != tuple(ff for ff, d in zip(ffs, diffs) if d & 1):
+                raise RuntimeError(
+                    f"site '{site_name}': the SAT model's difference vector {own} is not "
+                    "what simulating its assignment gives; encoding and evaluator disagree"
+                )
+            if sum(1 << pos[ff] for ff in own) in found:
+                # without this, the loop would find the unblocked vector forever
+                raise RuntimeError(f"site '{site_name}': the listed vector {own} was not blocked")
+            new = []
+            for members in _distinct_patterns(diffs, ffs, full):
+                v = sum(1 << pos[ff] for ff in members)
+                if v not in found:
+                    found[v] = members
+                    new.append(v)
+            cubes: list[tuple[int, int]] = []
+            for v in new:
+                if any(v & ~free == base for base, free in cubes):
+                    continue
+                base, free = _blocking_cube(v, found, len(ffs))
+                cubes.append((base, free))
+                solver.add_clause(
+                    [-dv if base >> j & 1 else dv
+                     for j, dv in enumerate(dvars) if not free >> j & 1]
+                )
+            if len(found) > cap:
+                overflow = True
+                break
+        listed = list(found.values())
     return PatternResult(
         site=site_name,
-        patterns=tuple(
-            DifferencePattern(site_name, FFSet(ms)) for ms in list(found.values())[:cap]
-        ),
+        patterns=tuple(DifferencePattern(site_name, FFSet(ms)) for ms in listed[:cap]),
         complete=complete,
         overflow=overflow,
         unknown=unknown,
-        static_ffs=static,
+        static_ffs=FFSet(site.static_ffs),
         seconds=time.perf_counter() - t0,
-        engine="sat",
+        engine="sat" if sweep is None else "sim",
         solves=solves,
     )
 
@@ -586,27 +571,33 @@ def analyze_sites(
     return {name: found[name] for name in (c.net_names[s.site_net] for s in work)}
 
 
-def _work_units(c: Circuit, sites: list[FaultSite]) -> list[list[FaultSite]]:
-    """The sites of each simulated region as one unit, so that its sweep is
-    built once, and every SAT-answered site as a unit of its own."""
-    regions: dict[tuple[int, ...], list[FaultSite]] = {}
+def _work_units(c: Circuit, sites: list[FaultSite]) -> list[tuple[Region, list[FaultSite]]]:
+    """Each region built once; the sites of a simulated region as one unit,
+    so that its sweep is built once, and every SAT-answered site as a unit
+    of its own."""
+    groups: dict[tuple[int, ...], list[FaultSite]] = {}
     for s in sites:
-        regions.setdefault(s.static_ffs, []).append(s)
+        groups.setdefault(s.static_ffs, []).append(s)
     units = []
-    for group in regions.values():
-        if len(site_support(c, group[0])) <= SIM_SUPPORT_LIMIT:
-            units.append(group)
+    for group in groups.values():
+        region = build_region(c, group[0])
+        if region.simulated:
+            units.append((region, group))
         else:
-            units.extend([s] for s in group)
+            units.extend((region, [s]) for s in group)
     return units
 
 
 def _analyze_unit(
-    c: Circuit, sites: list[FaultSite], cap: int, conflict_limit: int | None
+    c: Circuit,
+    unit: tuple[Region, list[FaultSite]],
+    cap: int,
+    conflict_limit: int | None,
 ) -> list[PatternResult]:
     """Results for sites that share one region, in the order given."""
-    sweep = region_sweep(c, sites[0])
-    return [enumerate_patterns(c, s, cap, conflict_limit, sweep) for s in sites]
+    region, sites = unit
+    sweep = _sweep(c, region) if region.simulated else None
+    return [enumerate_patterns(c, s, cap, conflict_limit, region, sweep) for s in sites]
 
 
 def optimize_sets(static: SetCollection, results: dict[str, PatternResult]) -> SetCollection:

@@ -293,6 +293,25 @@ def test_bad_config_value_names_setting_file_and_line(tmp_path, capsys, line, se
     assert f"{cfg}:2:" in err and setting in err and line.split(" = ")[1] in err
 
 
+@pytest.mark.parametrize(
+    "flag, value, setting",
+    [
+        pytest.param("--conflict-cap", "-1", "conflict_cap", id="negative_conflict_cap"),
+        pytest.param("--margins", "", "margins", id="empty_margins"),
+    ],
+)
+def test_out_of_range_flag_value_names_setting(tmp_path, capsys, flag, value, setting):
+    args = ["run", "--input", DATA / "wire.bench", "--out", tmp_path / "o", flag, value]
+    assert run_cli(args) == EXIT_PARSE
+    assert setting in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_zero_conflict_cap_is_valid(tmp_path):
+    args = ["run", "--input", DATA / "wire.bench", "--out", tmp_path / "o", "--conflict-cap", "0"]
+    assert run_cli(args) == EXIT_OK
+
+
 def test_bad_flag_value_names_setting(tmp_path, capsys):
     args = ["run", "--input", DATA / "wire.bench", "--out", tmp_path / "o", "--margins", "0.05,x"]
     assert run_cli(args) == EXIT_PARSE

@@ -13,16 +13,17 @@ from set2seu.propagation import (
     _blocking_cube,
     _flip_masks,
     _neighbourhood_diffs,
+    _sweep,
     _var_mask,
     _work_units,
     analyze_sites,
     build_miter,
+    build_region,
     encode_cnf,
     enumerate_patterns,
     export_site_cnf,
     gate_clauses,
     optimize_sets,
-    region_sweep,
 )
 from set2seu.random_circuits import corpus, make_random_circuit
 from set2seu.solver import SAT, UNSAT, CdclSolver, parse_dimacs, solve_cnf
@@ -43,11 +44,12 @@ def outcome(result):
 
 def enumerate_with(engine, c, site, **kwargs):
     """enumerate_patterns through the named engine; "sim" sweeps the site's region."""
+    region = build_region(c, site)
     sweep = None
     if engine == "sim":
-        sweep = region_sweep(c, site)
-        assert sweep is not None
-    r = enumerate_patterns(c, site, sweep=sweep, **kwargs)
+        assert region.simulated
+        sweep = _sweep(c, region)
+    r = enumerate_patterns(c, site, region=region, sweep=sweep, **kwargs)
     assert r.engine == engine
     return r
 
@@ -325,7 +327,7 @@ def test_work_units_keep_simulated_regions_whole_and_split_sat_sites():
     # seed 1 has simulated regions of up to 3 sites and a SAT region of 2
     c = make_random_circuit(1, n_pis=6, n_ffs=24, n_gates=90, n_pos=2)
     work = [s for s in enumerate_fault_sites(c) if s.static_ffs]
-    units = _work_units(c, work)
+    units = [group for _, group in _work_units(c, work)]
     assert sorted(s.site_net for u in units for s in u) == sorted(s.site_net for s in work)
     sat_regions = []
     for u in units:
@@ -336,6 +338,41 @@ def test_work_units_keep_simulated_regions_whole_and_split_sat_sites():
             sat_regions.append(u[0].static_ffs)
     assert max(len(u) for u in units) > 1
     assert len(set(sat_regions)) < len(sat_regions)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(
+            lambda: make_random_circuit(7, n_pis=10, n_ffs=50, n_gates=500, n_pos=10),
+            id="wide50",
+        ),
+        *(
+            pytest.param(
+                lambda seed=seed: make_random_circuit(seed, n_pis=6, n_ffs=24, n_gates=90, n_pos=2),
+                id=f"support_limit{seed}",
+            )
+            for seed in range(3)
+        ),
+    ],
+)
+def test_each_region_is_built_once(make):
+    """One closure scan per distinct `static_ffs`, shared by all its sites
+    and by both engines."""
+    c = make()
+    sites = enumerate_fault_sites(c)
+    scanned = []
+    closure = propagation.relevant_closure
+
+    def counting(circ, site):
+        scanned.append(site.static_ffs)
+        return closure(circ, site)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(propagation, "relevant_closure", counting)
+        results = analyze_sites(c, sites, jobs=1)
+    assert sorted(scanned) == sorted({s.static_ffs for s in sites if s.static_ffs})
+    assert {r.engine for r in results.values()} == {"sim", "sat"}
 
 
 # -- SAT engine: each model's neighbourhood is simulated ---------------------------
@@ -455,7 +492,7 @@ def test_neighbourhood_bits_match_scalar_simulation():
     for site in sorted(work, key=lambda s: -len(site_support(c, s)))[:4]:
         support = site_support(c, site)
         base = [rng.random() < 0.5 for _ in support]
-        diffs, full = _neighbourhood_diffs(c, build_miter(c, site), support, base)
+        diffs, full = _neighbourhood_diffs(c, build_miter(c, site), base)
         _, flips = _flip_masks(len(support), propagation.HARVEST_RADIUS)
         for b in range(full.bit_length()):
             assignment = {n: False for n in range(c.num_nets) if c.driver[n][0] != "gate"}
@@ -486,12 +523,13 @@ def test_flip_masks_cover_the_hamming_ball_once(k, radius):
     assert flipped == want
 
 
-def test_sweep_of_another_region_rejected(divergent3):
+@pytest.mark.parametrize("engine", ["sim", "sat"])
+def test_sweep_of_another_region_rejected(divergent3, engine):
     sites = sites_by_name(divergent3)
+    region = build_region(divergent3, sites["c"])
+    sweep = _sweep(divergent3, region) if engine == "sim" else None
     with pytest.raises(ValueError):
-        enumerate_patterns(
-            divergent3, sites["x"], sweep=region_sweep(divergent3, sites["c"])
-        )
+        enumerate_patterns(divergent3, sites["x"], region=region, sweep=sweep)
 
 
 # -- optimize_sets -----------------------------------------------------------------
