@@ -17,6 +17,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 
 from . import campaign, cones, ffsets, netlist, propagation
@@ -105,9 +106,52 @@ def log(msg: str) -> None:
 
 
 def _write_json(path: Path, obj) -> None:
+    """Write `obj` as `json.dump(obj, fh, indent=2)` would, plus a newline."""
     with path.open("w") as fh:
-        json.dump(obj, fh, indent=2)
+        fh.writelines(_json_chunks(obj, "\n"))
         fh.write("\n")
+
+
+def _json_chunks(o, nl: str):
+    """The text of `o` in the `indent=2` layout, in pieces; `nl` is a newline
+    plus the indentation of o's own line.
+
+    `json.dump` with an indent runs the pure-Python encoder.  This one uses
+    the C string escaper and joins a list of strings in one go.  A value of
+    any other type, or a dict with a non-str key, is left to `json.dumps`.
+    """
+    t = type(o)
+    if t is str:
+        yield _encode_str(o)
+    elif t is int:
+        yield repr(o)
+    elif t is bool:
+        yield "true" if o else "false"
+    elif o is None:
+        yield "null"
+    elif (t is list or t is tuple) and o:
+        inner = nl + "  "
+        try:  # a list of strings in one piece; str subclasses encode as str
+            strings = f",{inner}".join(map(_encode_str, o))
+        except TypeError:  # an item that is not a string
+            sep = "[" + inner
+            for v in o:
+                yield sep
+                yield from _json_chunks(v, inner)
+                sep = "," + inner
+            yield nl + "]"
+        else:
+            yield f"[{inner}{strings}{nl}]"
+    elif t is dict and o and all(type(k) is str for k in o):
+        inner = nl + "  "
+        sep = "{" + inner
+        for k, v in o.items():
+            yield f"{sep}{_encode_str(k)}: "
+            yield from _json_chunks(v, inner)
+            sep = "," + inner
+        yield nl + "}"
+    else:
+        yield json.dumps(o, indent=2).replace("\n", nl)
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -139,6 +183,9 @@ def sets_json(c: netlist.Circuit, static: ffsets.SetCollection) -> dict:
         {"cone": f.name, "members": per_cone.member_names(s), "multiplicity": s.multiplicity}
         for f, (_, s) in zip(c.flipflops, per_cone.raw_sets)
     ]
+    set_rows = ffsets.collection_to_json(static)
+    # one member-name list per unique set, shared by its raw rows
+    members = {s: row["members"] for s, row in zip(static.unique_sets, set_rows)}
     return {
         "circuit": asdict(c.stats()),
         "ffs": [f.name for f in c.flipflops],
@@ -146,10 +193,8 @@ def sets_json(c: netlist.Circuit, static: ffsets.SetCollection) -> dict:
         "num_sets": static.num_sets,
         "num_superset": static.num_unique,
         "max_multiplicity": static.max_multiplicity,
-        "sets": ffsets.collection_to_json(static),
-        "raw": [
-            {"site": ref, "members": static.member_names(s)} for ref, s in static.raw_sets
-        ],
+        "sets": set_rows,
+        "raw": [{"site": ref, "members": members[s]} for ref, s in static.raw_sets],
     }
 
 
@@ -247,9 +292,13 @@ def run_propagation(
     if cfg.export_cnf:
         cnf_dir = Path(cfg.out) / "cnf"
         cnf_dir.mkdir(parents=True, exist_ok=True)
+        regions: dict[tuple[int, ...], propagation.Region] = {}
         for s in work:
+            region = regions.get(s.static_ffs)
+            if region is None:
+                region = regions[s.static_ffs] = propagation.build_region(c, s)
             path = cnf_dir / f"site_{s.site_net}.cnf"
-            path.write_text(propagation.export_site_cnf(c, s))
+            path.write_text(propagation.export_site_cnf(c, s, region))
         log(f"propagate: exported {len(work)} DIMACS files to {cnf_dir}")
     return results
 

@@ -12,6 +12,7 @@ the head's achievable upset patterns over-approximate the region's.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .netlist import Circuit, NetlistError
 
@@ -51,7 +52,7 @@ def all_cones(c: Circuit) -> tuple[FaninCone, ...]:
     support: list[set[int]] = [set() for _ in c.flipflops]
     for net, mask in enumerate(c.ff_reach):
         is_gate = c.driver[net][0] == "gate"
-        for f in _set_bits(mask):
+        for f in _decode_mask(mask):
             (members if is_gate else support)[f].add(net)
     return tuple(
         FaninCone(f.id, frozenset(members[f.id]), frozenset(support[f.id] - {f.d_net}))
@@ -75,16 +76,17 @@ def cone_ff_set(c: Circuit, ff_id: int) -> tuple[int, ...]:
     return _decode_mask(c.cone_reach[ff_id])
 
 
-def _set_bits(mask: int):
-    """Indices of the set bits of `mask`, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
 def _decode_mask(mask: int) -> tuple[int, ...]:
-    return tuple(_set_bits(mask))
+    """Indices of the set bits of `mask` (nonnegative), ascending.
+
+    The binary digits, least significant first, select the indices in one
+    C-level pass, so the cost per bit is not a Python step.
+    """
+    bits = bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
+    return tuple(compress(range(mask.bit_length()), bits))
 
 
 def _region_heads(c: Circuit) -> list[int]:
@@ -118,9 +120,10 @@ def enumerate_fault_sites(c: Circuit, mode: str = "collapsed") -> list[FaultSite
         n for n in range(c.num_nets) if c.is_combinational(n) and n not in c.excluded
     ]
     sites: list[FaultSite] = []
+    decoded: dict[int, tuple[int, ...]] = {}   # ff_reach mask -> its static_ffs
     if mode == "all_nets":
         for net in universe:
-            sites.append(_make_site(c, net, frozenset({net})))
+            sites.append(_make_site(c, net, frozenset({net}), decoded))
         return sites
 
     heads = _region_heads(c)
@@ -132,21 +135,24 @@ def enumerate_fault_sites(c: Circuit, mode: str = "collapsed") -> list[FaultSite
             # region head itself excluded: fall back to per-net sites so the
             # remaining region nets stay covered
             for net in sorted(regions[head] - {head}):
-                sites.append(_make_site(c, net, frozenset({net})))
+                sites.append(_make_site(c, net, frozenset({net}), decoded))
             continue
-        sites.append(_make_site(c, head, frozenset(regions[head])))
+        sites.append(_make_site(c, head, frozenset(regions[head]), decoded))
     sites.sort(key=lambda s: s.site_net)
     return sites
 
 
-def _make_site(c: Circuit, net: int, region: frozenset[int]) -> FaultSite:
+def _make_site(
+    c: Circuit, net: int, region: frozenset[int], decoded: dict[int, tuple[int, ...]]
+) -> FaultSite:
+    """The site at `net`; sites whose nets reach the same flip-flops share
+    one `static_ffs` tuple, decoded once into `decoded`."""
+    mask = c.ff_reach[net]
+    ffs = decoded.get(mask)
+    if ffs is None:
+        ffs = decoded[mask] = _decode_mask(mask)
     kind = FFR_TERMINAL if c.fanout_ffs[net] else STEM
-    return FaultSite(
-        site_net=net,
-        kind=kind,
-        represented_nets=region,
-        static_ffs=static_ff_set(c, net),
-    )
+    return FaultSite(site_net=net, kind=kind, represented_nets=region, static_ffs=ffs)
 
 
 def relevant_closure(c: Circuit, site: FaultSite) -> frozenset[int]:

@@ -74,12 +74,17 @@ class SetCollection:
 
 
 def collect_static_sets(c: Circuit, sites: list[FaultSite]) -> SetCollection:
-    """One raw set per fault site; po_only sites (empty sets) are skipped."""
+    """One raw set per fault site; po_only sites (empty sets) are skipped.
+    Sites with equal `static_ffs` share one FFSet."""
     names = tuple(f.name for f in c.flipflops)
+    shared: dict[tuple[int, ...], FFSet] = {}
     raw = []
     for s in sites:
         if s.static_ffs:
-            raw.append((c.net_names[s.site_net], FFSet(s.static_ffs)))
+            ffs = shared.get(s.static_ffs)
+            if ffs is None:
+                ffs = shared[s.static_ffs] = FFSet(s.static_ffs)
+            raw.append((c.net_names[s.site_net], ffs))
     return SetCollection(names, tuple(raw))
 
 

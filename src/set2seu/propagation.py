@@ -561,7 +561,8 @@ def analyze_sites(
     if jobs > 1 and len(units) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
+        # the executor forks all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(jobs, len(units))) as ex:
             done = list(
                 ex.map(_analyze_unit, repeat(c), units, repeat(cap), repeat(conflict_limit))
             )
@@ -617,9 +618,10 @@ def optimize_sets(static: SetCollection, results: dict[str, PatternResult]) -> S
     return SetCollection(static.ff_names, tuple(raw))
 
 
-def export_site_cnf(c: Circuit, site: FaultSite) -> str:
-    """DIMACS text of the site's miter, difference forced nonempty."""
-    m = build_miter(c, site)
+def export_site_cnf(c: Circuit, site: FaultSite, region: Region | None = None) -> str:
+    """DIMACS text of the site's miter, difference forced nonempty; `region`
+    is the site's region, built when not given."""
+    m = build_miter(c, site, region)
     f = encode_cnf(m, c)
     clauses = list(f.clauses)
     clauses.append(tuple(f.diff_vars[ff] for ff in m.site.static_ffs))

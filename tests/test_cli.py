@@ -6,9 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from set2seu.cli import EXIT_MISSING_STAGE, EXIT_OK, EXIT_PARSE, main
+from set2seu import cli, propagation
+from set2seu.cli import EXIT_MISSING_STAGE, EXIT_OK, EXIT_PARSE, RunConfig, main, run_propagation
+from set2seu.cones import enumerate_fault_sites
 from set2seu.netlist import to_bench
-from set2seu.random_circuits import corpus
+from set2seu.random_circuits import corpus, make_random_circuit
 
 DATA = Path(__file__).parent / "data"
 
@@ -379,6 +381,73 @@ def test_export_cnf_writes_dimacs_per_site(tmp_path):
     text = files[0].read_text()
     assert text.splitlines()[0].startswith("c miter for SET site")
     assert any(line.startswith("p cnf ") for line in text.splitlines())
+
+
+def test_export_cnf_builds_each_region_once(tmp_path):
+    """One closure scan per distinct `static_ffs` for the analysis and one
+    for the export, and the DIMACS text of a per-site export."""
+    c = make_random_circuit(1, n_pis=6, n_ffs=24, n_gates=90, n_pos=2)
+    sites = enumerate_fault_sites(c)
+    work = [s for s in sites if s.static_ffs]
+    regions = {s.static_ffs for s in work}
+    assert len(regions) < len(work)
+    scanned = []
+    closure = propagation.relevant_closure
+
+    def counting(circ, site):
+        scanned.append(site.static_ffs)
+        return closure(circ, site)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(propagation, "relevant_closure", counting)
+        run_propagation(RunConfig(out=str(tmp_path), export_cnf=True), c, sites)
+    assert sorted(scanned) == sorted(2 * list(regions))
+    for s in work:
+        written = (tmp_path / "cnf" / f"site_{s.site_net}.cnf").read_text()
+        assert written == propagation.export_site_cnf(c, s)
+
+
+class _Str(str):
+    pass
+
+
+class _List(list):
+    pass
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        [], {}, [[]], [{}], {"a": []}, {"a": {}}, [[], [[]], {"b": {}}],
+        (), (1, "a"), ("a", "b"), [("x",), ()],
+        "", "\u00e9\u4e2d\U0001f600", "\x00\x1f\n\t\"\\/\x7f", ["\u2028", "a\x01"],
+        True, False, None, [True, False, None], {"t": True, "n": None},
+        {1: "a", "b": 2}, {"k": {2: [3]}}, {None: 1, True: 2, 1.5: 3},
+        0.1, [0.1, 1e300, -0.0, float("inf"), float("-inf"), float("nan")], {"x": [1, 2.5]},
+        _Str("sub"), [_Str("a"), "b"], {"k": _Str("v")}, _List([1, "a"]), {"k": _List(["a", "b"])},
+        ["a", 1], ["a", ["b", "c"]], [0, -7, 10**40],
+    ],
+)
+def test_write_json_matches_json_dump(tmp_path, value):
+    path = tmp_path / "v.json"
+    cli._write_json(path, value)
+    assert path.read_text() == json.dumps(value, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("bench", sorted(p.name for p in DATA.glob("*.bench")))
+def test_json_artifacts_match_json_dump(tmp_path, bench):
+    written = []
+    write = cli._write_json
+
+    def checking(path, obj):
+        write(path, obj)
+        assert path.read_text() == json.dumps(obj, indent=2) + "\n", path.name
+        written.append(path.name)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_write_json", checking)
+        assert run_cli(["run", "--input", DATA / bench, "--out", tmp_path]) == EXIT_OK
+    assert written == ["cones.json", "sites.json", "sets.json", "patterns.json", "report.json"]
 
 
 def test_all_nets_mode_runs(tmp_path):

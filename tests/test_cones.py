@@ -1,9 +1,12 @@
+import random
+
 import pytest
 
 from set2seu import parse_bench
 from set2seu.cones import (
     FFR_TERMINAL,
     STEM,
+    _decode_mask,
     all_cones,
     cone_ff_set,
     enumerate_fault_sites,
@@ -186,3 +189,27 @@ def test_all_nets_mode_covers_every_combinational_net(fanout_demo):
 def test_all_nets_mode_rejects_bad_mode(wire):
     with pytest.raises(ValueError):
         enumerate_fault_sites(wire, "everything")
+
+
+_rng = random.Random(2021)
+
+
+@pytest.mark.parametrize(
+    "mask",
+    [0, 1, 2, 5, 1 << 63, (1 << 400) | (1 << 17) | 1, (1 << 64) - 1, 2**500 - 1]
+    + [_rng.getrandbits(n) for n in (8, 64, 390, 1000)]
+    + [_rng.getrandbits(512) & _rng.getrandbits(512) & _rng.getrandbits(512)],
+)
+def test_decode_mask_lists_set_bits(mask):
+    assert _decode_mask(mask) == tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+@pytest.mark.parametrize("mode", ["collapsed", "all_nets"])
+def test_sites_with_equal_masks_share_static_ffs(mode):
+    c = make_random_circuit(1, n_pis=6, n_ffs=24, n_gates=90, n_pos=2)
+    by_mask = {}
+    for s in enumerate_fault_sites(c, mode):
+        by_mask.setdefault(c.ff_reach[s.site_net], []).append(s.static_ffs)
+    assert any(len(group) > 1 for group in by_mask.values())
+    for group in by_mask.values():
+        assert all(ffs is group[0] for ffs in group)

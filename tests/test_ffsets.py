@@ -69,6 +69,14 @@ def test_collect_static_skips_po_only(fanout_demo):
     assert sc.num_sets == 1  # only the b site, y's region is po_only
 
 
+def test_collect_static_shares_one_ffset_per_distinct_set(b01ish):
+    sites = [s for s in enumerate_fault_sites(b01ish) if s.static_ffs]
+    sc = collect_static_sets(b01ish, sites)
+    assert sc.num_unique < sc.num_sets
+    for s in sc.unique_sets:
+        assert sum(t is s for _, t in sc.raw_sets) == len(sc.origins[s])
+
+
 def test_collect_cone_sets_chain(cone_chain):
     sc = collect_cone_sets(cone_chain)
     rows = [(ref, s.members) for ref, s in sc.raw_sets]

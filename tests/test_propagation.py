@@ -283,6 +283,34 @@ def test_parallel_jobs_match_serial(divergent3):
     assert serial == parallel
 
 
+def test_worker_pool_is_capped_at_the_work_units(divergent3, monkeypatch):
+    """A large `jobs` asks for no more workers than there are units of work;
+    the stand-in pool runs them in this process."""
+    import concurrent.futures
+
+    asked = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    sites = enumerate_fault_sites(divergent3)
+    units = _work_units(divergent3, [s for s in sites if s.static_ffs])
+    assert len(units) > 1
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    assert analyze_sites(divergent3, sites, jobs=5000) == analyze_sites(divergent3, sites, jobs=1)
+    assert asked == [len(units)]
+
+
 # -- hybrid engine: simulation for small regions, SAT for the rest ----------------
 
 
