@@ -247,7 +247,8 @@ _RESULT_FLAGS = {(True, False, False), (False, True, False), (False, True, True)
 def patterns_from_json(
     data: dict, static: ffsets.SetCollection, path: Path
 ) -> dict[str, propagation.PatternResult]:
-    """Inverse of patterns_json; each site's fallback is its set in `static`."""
+    """Inverse of patterns_json; each site's fallback is its set in `static`,
+    and each of its patterns must lie inside that set."""
     idx = {n: i for i, n in enumerate(static.ff_names)}
     static_of = dict(static.raw_sets)
     results = {}
@@ -261,12 +262,18 @@ def patterns_from_json(
                 f"{path}: site '{site}' has complete/overflow/unknown "
                 f"{'/'.join(str(v).lower() for v in flags.values())}, which no analysis yields"
             )
+        reach = set(static_of[site].members)
+        patterns = tuple(_read_ffset(idx, p, path, site) for p in row["patterns"])
+        for p in patterns:
+            outside = set(p.members) - reach
+            if outside:
+                name = static.ff_names[min(outside)]
+                raise ValueError(
+                    f"{path}: site '{site}' lists flip-flop '{name}' outside its static set"
+                )
         results[site] = propagation.PatternResult(
             site=site,
-            patterns=tuple(
-                propagation.DifferencePattern(site, _read_ffset(idx, p, path, site))
-                for p in row["patterns"]
-            ),
+            patterns=tuple(propagation.DifferencePattern(site, p) for p in patterns),
             static_ffs=static_of[site],
             **flags,
         )
@@ -412,6 +419,9 @@ def report_from_artifacts(cfg: RunConfig) -> int:
         sets_data = json.loads(sets_path.read_text())
         ff_names = tuple(sets_data["ffs"])
         idx = {n: i for i, n in enumerate(ff_names)}
+        if len(idx) != len(ff_names):
+            twice = next(n for i, n in enumerate(ff_names) if idx[n] != i)
+            raise ValueError(f"{sets_path}: flip-flop '{twice}' is listed twice")
         static = ffsets.SetCollection(
             ff_names,
             tuple(

@@ -237,12 +237,16 @@ def build_circuit(
         if n in driven:
             raise NetlistError(f"net '{names[n]}' has multiple drivers", where(n))
         driven.add(n)
-    for nm, d, q in ff_rows:
+    ff_names = [names[q] if nm is None else nm for nm, _, q in ff_rows]
+    seen_ffs: set[str] = set()
+    for name, (_, d, q) in zip(ff_names, ff_rows):
         if d == q:
-            name = names[q] if nm is None else nm
             raise NetlistError(
                 f"flip-flop '{name}' feeds its own output net back as data input", where(q)
             )
+        if name in seen_ffs:
+            raise NetlistError(f"duplicate flip-flop name '{name}'", where(q))
+        seen_ffs.add(name)
     for n in range(len(names)):
         if n not in driven:
             raise NetlistError(f"net '{names[n]}' is never defined", where(n))
@@ -262,8 +266,7 @@ def build_circuit(
         net_names=names,
         gates=tuple(Gate(i, k, ins, out) for i, (k, ins, out) in enumerate(gate_rows)),
         flipflops=tuple(
-            FlipFlop(i, names[q] if nm is None else nm, d, q)
-            for i, (nm, d, q) in enumerate(ff_rows)
+            FlipFlop(i, name, d, q) for i, (name, (_, d, q)) in enumerate(zip(ff_names, ff_rows))
         ),
         primary_inputs=pis,
         primary_outputs=tuple(dict.fromkeys(pos)),

@@ -4,7 +4,10 @@ Watched literals, 1UIP conflict analysis, VSIDS-style activities with
 phase saving, Luby restarts and periodic learnt-clause reduction.  The
 solver is fully deterministic: no randomness, ties broken by variable
 index.  A per-call conflict budget turns hard calls into an explicit
-UNKNOWN instead of an unbounded search.
+UNKNOWN instead of an unbounded search.  Clauses are plain lists; learnt-
+clause reduction detaches the clauses it deletes from every watch list in
+one pass, and an activity rescale rebuilds the decision heap, which holds a
+current entry for every unassigned variable.
 """
 
 from __future__ import annotations
@@ -35,30 +38,19 @@ def luby(i: int) -> int:
     return 1 << seq
 
 
-class Clause(list):
-    __slots__ = ("deleted",)
-
-    def __init__(self, lits):
-        super().__init__(lits)
-        self.deleted = False
-
-
 @dataclass
 class SolveResult:
     status: str
     model: list | None        # bool per var, index 0 unused; None unless SAT
     conflicts: int
 
-    def __bool__(self) -> bool:
-        return self.status == SAT
-
 
 class CdclSolver:
     def __init__(self, num_vars: int = 0):
         self.num_vars = 0
-        self.clauses: list[Clause] = []
-        self.learnts: list[Clause] = []
-        self.watches: dict[int, list[Clause]] = {}
+        self.num_clauses = 0                  # problem clauses of 2+ literals
+        self.learnts: list[list[int]] = []
+        self.watches: dict[int, list[list[int]]] = {}
         self.assign: list = [None]            # var -> bool | None
         self.level: list[int] = [0]
         self.reason: list = [None]
@@ -131,13 +123,13 @@ class CdclSolver:
         if len(out) == 1:
             self._enqueue(out[0], None)  # unassigned here; solve() propagates it
             return
-        cl = Clause(out)
-        self.clauses.append(cl)
+        cl = out[:]  # exact-size copy
+        self.num_clauses += 1
         self.watches[out[0]].append(cl)
         self.watches[out[1]].append(cl)
 
-    def _attach_learnt(self, lits: list[int]) -> Clause:
-        cl = Clause(lits)
+    def _attach_learnt(self, lits: list[int]) -> list[int]:
+        cl = lits[:]  # exact-size copy
         self.learnts.append(cl)
         self.watches[lits[0]].append(cl)
         self.watches[lits[1]].append(cl)
@@ -149,7 +141,7 @@ class CdclSolver:
     def dlevel(self) -> int:
         return len(self.trail_lim)
 
-    def _enqueue(self, lit: int, reason: Clause | None) -> None:
+    def _enqueue(self, lit: int, reason: list[int] | None) -> None:
         v = abs(lit)
         self.assign[v] = lit > 0
         self.level[v] = self.dlevel
@@ -172,7 +164,7 @@ class CdclSolver:
 
     # -- propagation ---------------------------------------------------------
 
-    def _propagate(self) -> Clause | None:
+    def _propagate(self) -> list[int] | None:
         while self.qhead < len(self.trail):
             p = self.trail[self.qhead]
             self.qhead += 1
@@ -180,15 +172,13 @@ class CdclSolver:
             ws = self.watches[neg]
             if not ws:
                 continue
-            keep: list[Clause] = []
+            keep: list[list[int]] = []
             conflict = None
             i = 0
             n = len(ws)
             while i < n:
                 cl = ws[i]
                 i += 1
-                if cl.deleted:
-                    continue
                 if cl[0] == neg:
                     cl[0], cl[1] = cl[1], cl[0]
                 first = cl[0]
@@ -205,7 +195,7 @@ class CdclSolver:
                     keep.append(cl)
                     if v0 is False:
                         conflict = cl
-                        keep.extend(c for c in ws[i:] if not c.deleted)
+                        keep.extend(ws[i:])
                         break
                     self._enqueue(first, cl)
             self.watches[neg] = keep
@@ -221,30 +211,31 @@ class CdclSolver:
             for u in range(1, self.num_vars + 1):
                 self.activity[u] *= 1.0 / _ACT_RESCALE
             self.var_inc *= 1.0 / _ACT_RESCALE
-        if self.assign[v] is None:
+            act, assign = self.activity, self.assign  # every heap key is stale now
+            self.order = [(-act[u], u) for u in range(1, self.num_vars + 1) if assign[u] is None]
+            heapq.heapify(self.order)
+        elif self.assign[v] is None:
             heapq.heappush(self.order, (-self.activity[v], v))
 
     def _decay(self) -> None:
         self.var_inc *= 1.0 / 0.95
 
-    def _pick_var(self):
+    def _pick_var(self) -> int | None:
+        """The most active unassigned variable (lowest index on ties), or None."""
         while self.order:
             act, v = heapq.heappop(self.order)
             if self.assign[v] is None and -act == self.activity[v]:
-                return v
-        for v in range(1, self.num_vars + 1):  # stale heap fallback
-            if self.assign[v] is None:
                 return v
         return None
 
     # -- conflict analysis ------------------------------------------------------
 
-    def _analyze(self, conflict: Clause) -> tuple[list[int], int]:
+    def _analyze(self, conflict: list[int]) -> tuple[list[int], int]:
         learnt: list[int] = [0]
         seen = bytearray(self.num_vars + 1)
         counter = 0
         p = 0
-        cl: Clause | None = conflict
+        cl: list[int] | None = conflict
         index = len(self.trail)
         while True:
             assert cl is not None
@@ -280,13 +271,16 @@ class CdclSolver:
         return learnt, self.level[abs(learnt[1])]
 
     def _reduce_db(self) -> None:
+        """Delete the longer half of the learnt clauses, except binary ones and
+        current reasons, and detach them from every watch list in one pass."""
         locked = {id(self.reason[abs(lit)]) for lit in self.trail if self.reason[abs(lit)]}
         self.learnts.sort(key=len)
         keep = len(self.learnts) // 2
-        for cl in self.learnts[keep:]:
-            if id(cl) not in locked and len(cl) > 2:
-                cl.deleted = True
-        self.learnts = [cl for cl in self.learnts if not cl.deleted]
+        dead = [cl for cl in self.learnts[keep:] if id(cl) not in locked and len(cl) > 2]
+        gone = {id(cl) for cl in dead}  # `dead` keeps these ids alive
+        self.learnts = [cl for cl in self.learnts if id(cl) not in gone]
+        for lit, ws in self.watches.items():
+            self.watches[lit] = [cl for cl in ws if id(cl) not in gone]
 
     # -- main search --------------------------------------------------------------
 
@@ -301,7 +295,7 @@ class CdclSolver:
         conflicts = 0
         restarts = 0
         budget = luby(restarts + 1) * _LUBY_UNIT
-        max_learnts = max(2000, 2 * len(self.clauses))
+        max_learnts = max(2000, 2 * self.num_clauses)
 
         while True:
             conflict = self._propagate()

@@ -151,6 +151,24 @@ def _inconsistent_flags(a, b):
     return {b: ["patterns.json", f"'{row['site']}'", "true/false/true"]}
 
 
+def _pattern_outside_static_set(a, b):
+    # divergent3: site a1 reaches only f1 statically
+    path = a / "patterns.json"
+    data = read_json(path)
+    row = next(r for r in data["sites"] if r["site"] == "a1")
+    row["patterns"] = [["f1", "f2", "f3"]]
+    path.write_text(json.dumps(data))
+    return {a: ["patterns.json", "'a1'", "'f2'", "outside its static set"]}
+
+
+def _repeated_ff_name(a, b):
+    path = b / "sets.json"
+    data = read_json(path)
+    data["ffs"][1] = data["ffs"][0]
+    path.write_text(json.dumps(data))
+    return {b: ["sets.json", f"'{data['ffs'][0]}' is listed twice"]}
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -161,6 +179,8 @@ def _inconsistent_flags(a, b):
         _empty_raw,
         _missing_key,
         _inconsistent_flags,
+        _pattern_outside_static_set,
+        _repeated_ff_name,
     ],
     ids=[
         "swapped",
@@ -170,6 +190,8 @@ def _inconsistent_flags(a, b):
         "empty_raw",
         "missing_key",
         "inconsistent_flags",
+        "pattern_outside_static_set",
+        "repeated_ff_name",
     ],
 )
 def test_report_rejects_mismatched_artifacts(tmp_path, corrupt):
@@ -242,6 +264,28 @@ def test_json_netlist_error_exit_2(tmp_path):
     assert proc.returncode == EXIT_PARSE
     assert "netlist error" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_json_duplicate_ff_name_exit_2(tmp_path, capsys):
+    # two flip-flops named f: reports would merge them by name
+    bad = tmp_path / "dup.json"
+    bad.write_text(
+        json.dumps(
+            {
+                "nets": [{"id": i, "name": n} for i, n in enumerate(["a", "b", "g", "q0", "q1"])],
+                "gates": [{"id": 0, "kind": "AND", "inputs": [0, 1], "output": 2}],
+                "ffs": [
+                    {"id": 0, "name": "f", "d": 2, "q": 3},
+                    {"id": 1, "name": "f", "d": 2, "q": 4},
+                ],
+                "inputs": [0, 1],
+                "outputs": [3, 4],
+            }
+        )
+    )
+    assert run_cli(["run", "--input", bad, "--out", tmp_path / "o"]) == EXIT_PARSE
+    assert "netlist error: duplicate flip-flop name 'f'" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "report.json").exists()
 
 
 def test_missing_input_exit_3(tmp_path):

@@ -131,6 +131,17 @@ def _json_circuit(**changes):
             "net ids must be",
         ),
         (_json_circuit(gates=[dict(_AND_GATE, id="0")]), "gate ids must be"),
+        (
+            _json_circuit(
+                nets=[{"id": i, "name": n} for i, n in enumerate("abgfh")],
+                ffs=[
+                    {"id": 0, "name": "f", "d": 2, "q": 3},
+                    {"id": 1, "name": "f", "d": 2, "q": 4},
+                ],
+                outputs=[3, 4],
+            ),
+            "duplicate flip-flop name 'f'",
+        ),
     ],
     ids=[
         "gate_input_out_of_range",
@@ -145,6 +156,7 @@ def _json_circuit(**changes):
         "bool_net_id",
         "float_net_id",
         "string_gate_id",
+        "duplicate_ff_name",
     ],
 )
 def test_json_validation_errors(data, fragment):

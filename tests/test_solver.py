@@ -153,3 +153,53 @@ def test_learnt_db_reduction_keeps_correctness():
     for cl in clauses:
         s.add_clause(cl)
     assert s.solve().status == UNSAT
+
+
+def test_decisions_follow_activity_after_rescale():
+    s = CdclSolver(5)
+    for v in (4, 4, 4, 1):
+        s._bump(v)
+    s.var_inc = 2e100
+    s._bump(2)  # activity 2e100 crosses the rescale threshold
+    picks = []
+    while (v := s._pick_var()) is not None:
+        picks.append(v)
+        s.trail_lim.append(len(s.trail))
+        s._enqueue(v, None)
+    assert picks == [2, 4, 1, 3, 5]
+
+
+def _enumerate_models(nv, clauses, reduce):
+    """Every model of `clauses`, found by blocking each one on one incremental
+    solver; with `reduce`, the learnt clauses are reduced before every solve.
+    Returns the models and the number of learnt clauses deleted."""
+    s = CdclSolver(nv)
+    for cl in clauses:
+        s.add_clause(cl)
+    models, deleted = [], 0
+    while True:
+        if reduce:
+            before = list(s.learnts)  # keeps the ids of deleted clauses unique
+            s._reduce_db()
+            kept = {id(cl) for cl in s.learnts}
+            dead = {id(cl) for cl in before if id(cl) not in kept}
+            assert not any(id(cl) in dead for ws in s.watches.values() for cl in ws)
+            deleted += len(dead)
+        res = s.solve()
+        if res.status != SAT:
+            return models, deleted
+        models.append(tuple(res.model))
+        s.add_clause([-v if res.model[v] else v for v in range(1, nv + 1)])
+
+
+def test_learnt_clause_reduction_detaches_and_keeps_enumeration():
+    rng = random.Random(2024)
+    deleted = 0
+    for _ in range(30):
+        clauses = random_3cnf(rng, 18, 72)
+        models, dropped = _enumerate_models(18, clauses, reduce=True)
+        deleted += dropped
+        assert len(set(models)) == len(models)
+        assert all(clause_satisfied(cl, m) for m in models for cl in clauses)
+        assert len(models) == len(_enumerate_models(18, clauses, reduce=False)[0])
+    assert deleted > 0
