@@ -2,7 +2,8 @@
 
 All totals are exact integers (arbitrary magnitude); sample sizes use
 exact rational arithmetic with round-half-up so results are reproducible
-bit for bit.
+bit for bit.  Every plan fixes the estimated failure proportion p at 0.5
+(`SFI_P`), the worst case, which asks for the largest sample.
 """
 
 from __future__ import annotations
@@ -13,8 +14,10 @@ from fractions import Fraction
 
 from .ffsets import SetCollection
 
-# two-sided normal cut-off per confidence level
-T_VALUES = {"90": 1.645, "95": 1.96, "99.8": 3.09}
+# two-sided normal cut-off per accepted confidence level (percent)
+T_VALUES = {90.0: 1.645, 95.0: 1.96, 99.8: 3.09}
+
+SFI_P = 0.5
 
 DEFAULT_MARGINS = (0.05, 0.01, 0.001)
 
@@ -32,15 +35,14 @@ def random_multibit_space(num_ffs: int) -> int:
 
 
 def cutoff_for_confidence(confidence) -> float:
-    key = f"{float(confidence):g}"
-    if key in T_VALUES:
-        return T_VALUES[key]
-    raise ValueError(
-        f"unsupported confidence level '{confidence}' (known: {', '.join(T_VALUES)})"
-    )
+    t = T_VALUES.get(float(confidence))
+    if t is None:
+        known = ", ".join(f"{c:g}" for c in T_VALUES)
+        raise ValueError(f"unsupported confidence level '{confidence}' (known: {known})")
+    return t
 
 
-def sfi_sample_size(N: int, e: float, t: float = 1.96, p: float = 0.5) -> int:
+def sfi_sample_size(N: int, e: float, t: float = 1.96, p: float = SFI_P) -> int:
     """Sample size n = N / (1 + e^2 (N-1) / (t^2 p (1-p))), half-up, in [1, N].
 
     N is the fault population; e the error margin in (0,1); t the
@@ -91,6 +93,12 @@ class FaultSpaceReport:
     max_multiplicity: int
     total_faults: int
 
+    @classmethod
+    def of(cls, method: str, coll: SetCollection) -> FaultSpaceReport:
+        return cls(
+            method, coll.num_sets, coll.num_unique, coll.max_multiplicity, fault_space_total(coll)
+        )
+
     def to_json(self) -> dict:
         return {
             "method": self.method,
@@ -107,21 +115,7 @@ class SfiPlan:
     method: str
     population: int
     margin: float
-    confidence: float
-    cutoff: float
-    p: float
     sample: int
-
-    def to_json(self) -> dict:
-        return {
-            "method": self.method,
-            "N": str(self.population),
-            "margin": self.margin,
-            "confidence": self.confidence,
-            "t": self.cutoff,
-            "p": self.p,
-            "n": self.sample,
-        }
 
 
 @dataclass(frozen=True)
@@ -130,9 +124,13 @@ class CampaignReport:
     static: FaultSpaceReport
     propagated: FaultSpaceReport
     random: FaultSpaceReport
-    plans: tuple[SfiPlan, ...]
+    plans: tuple[SfiPlan, ...]  # one per method and margin, margins varying fastest
     margins: tuple[float, ...]
     confidence: float
+
+    @property
+    def methods(self) -> tuple[FaultSpaceReport, ...]:
+        return (self.static, self.propagated, self.random)
 
     @property
     def monotonic_reduction(self) -> bool:
@@ -151,11 +149,10 @@ class CampaignReport:
         return _ratio(self.random.total_faults, self.propagated.total_faults)
 
     def to_json(self) -> dict:
+        t = cutoff_for_confidence(self.confidence)
         return {
             "num_ffs": self.num_ffs,
-            "methods": {
-                r.method: r.to_json() for r in (self.static, self.propagated, self.random)
-            },
+            "methods": {r.method: r.to_json() for r in self.methods},
             "reduction": {
                 "static_over_propagated": self.static_over_propagated,
                 "random_over_propagated": self.random_over_propagated,
@@ -164,7 +161,11 @@ class CampaignReport:
             "sfi": {
                 "confidence": self.confidence,
                 "margins": list(self.margins),
-                "plans": [p.to_json() for p in self.plans],
+                "plans": [
+                    {"method": p.method, "N": str(p.population), "margin": p.margin,
+                     "confidence": self.confidence, "t": t, "p": SFI_P, "n": p.sample}
+                    for p in self.plans
+                ],
             },
         }
 
@@ -172,78 +173,33 @@ class CampaignReport:
         cols = ["method", "num_sets", "num_superset", "max_multiplicity", "total_faults"]
         cols += [f"n({m:g})" for m in self.margins]
         lines = [",".join(cols)]
-        for r in (self.static, self.propagated, self.random):
-            row = [
-                r.method,
-                str(r.num_sets),
-                str(r.num_unique),
-                str(r.max_multiplicity),
-                str(r.total_faults),
-            ]
-            for m in self.margins:
-                n = next(
-                    p.sample for p in self.plans if p.method == r.method and p.margin == m
-                )
-                row.append(str(n))
-            lines.append(",".join(row))
+        k = len(self.margins)
+        for i, r in enumerate(self.methods):
+            row = [r.method, r.num_sets, r.num_unique, r.max_multiplicity, r.total_faults]
+            row += [p.sample for p in self.plans[i * k : (i + 1) * k]]
+            lines.append(",".join(map(str, row)))
         return "\n".join(lines) + "\n"
 
 
 def build_campaign(
-    n_ffs: int,
     static: SetCollection,
     optimized: SetCollection,
     margins=DEFAULT_MARGINS,
     confidence: float = 95,
 ) -> CampaignReport:
-    reports = (
-        FaultSpaceReport(
-            "static",
-            static.num_sets,
-            static.num_unique,
-            static.max_multiplicity,
-            fault_space_total(static),
-        ),
-        FaultSpaceReport(
-            "propagated",
-            optimized.num_sets,
-            optimized.num_unique,
-            optimized.max_multiplicity,
-            fault_space_total(optimized),
-        ),
-        FaultSpaceReport(
-            "random",
-            1 if n_ffs else 0,
-            1 if n_ffs else 0,
-            n_ffs,
-            random_multibit_space(n_ffs),
-        ),
+    """The report over the flip-flops of `static`; the random method draws from
+    one set that holds all of them, or from none when there is no flip-flop."""
+    n_ffs = len(static.ff_names)
+    n_sets = min(n_ffs, 1)
+    methods = (
+        FaultSpaceReport.of("static", static),
+        FaultSpaceReport.of("propagated", optimized),
+        FaultSpaceReport("random", n_sets, n_sets, n_ffs, random_multibit_space(n_ffs)),
     )
     t = cutoff_for_confidence(confidence)
-    plans = []
-    for r in reports:
-        for m in margins:
-            if r.total_faults >= 1:
-                n = sfi_sample_size(r.total_faults, m, t)
-            else:
-                n = 0
-            plans.append(
-                SfiPlan(
-                    method=r.method,
-                    population=r.total_faults,
-                    margin=float(m),
-                    confidence=float(confidence),
-                    cutoff=t,
-                    p=0.5,
-                    sample=n,
-                )
-            )
-    return CampaignReport(
-        num_ffs=n_ffs,
-        static=reports[0],
-        propagated=reports[1],
-        random=reports[2],
-        plans=tuple(plans),
-        margins=tuple(float(m) for m in margins),
-        confidence=float(confidence),
-    )
+    margins = tuple(float(m) for m in margins)
+    plans: list[SfiPlan] = []
+    for r in methods:
+        N = r.total_faults
+        plans += [SfiPlan(r.method, N, m, sfi_sample_size(N, m, t) if N else 0) for m in margins]
+    return CampaignReport(n_ffs, *methods, tuple(plans), margins, float(confidence))

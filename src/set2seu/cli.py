@@ -212,7 +212,7 @@ def patterns_json(c: netlist.Circuit, results: dict[str, propagation.PatternResu
             "overflow": r.overflow,
             "unknown": r.unknown,
         }
-        if r.overflow or r.unknown:
+        if r.overflow:
             row["fallback"] = [c.flipflops[f].name for f in r.static_ffs.members]
         rows.append(row)
     return {"circuit": asdict(c.stats()), "ffs": [f.name for f in c.flipflops], "sites": rows}
@@ -317,9 +317,7 @@ def build_report(
     results: dict[str, propagation.PatternResult],
 ) -> tuple[dict, campaign.CampaignReport]:
     optimized = propagation.optimize_sets(static, results)
-    report = campaign.build_campaign(
-        len(static.ff_names), static, optimized, cfg.margins, cfg.confidence
-    )
+    report = campaign.build_campaign(static, optimized, cfg.margins, cfg.confidence)
     body = report.to_json()
     body["circuit"] = c_stats
     body["overflow_sites"] = sum(1 for r in results.values() if r.overflow)

@@ -133,7 +133,7 @@ class PatternResult:
         counted among that set's 2^k - 1 injection combinations, so listing
         it separately would double-count.
         """
-        if self.overflow or self.unknown:
+        if self.overflow:  # an unknown site is also an overflowed one
             return (self.static_ffs,)
         sets = dict.fromkeys(frozenset(p.ffs.members) for p in self.patterns)
         maximal: list[frozenset] = []
@@ -496,9 +496,6 @@ def enumerate_patterns(
             if res.status == UNSAT:
                 complete = True
                 break
-            if len(found) >= cap:
-                overflow = True
-                break
             model = res.model
             diffs, full = _neighbourhood_diffs(c, m, [model[v] for v in svars])
             own = tuple(ff for ff, dv in zip(ffs, dvars) if model[dv])
@@ -526,6 +523,8 @@ def enumerate_patterns(
                     [-dv if base >> j & 1 else dv
                      for j, dv in enumerate(dvars) if not free >> j & 1]
                 )
+            # every harvest lists the model's own, unblocked vector, so this
+            # is reached after at most cap + 1 SAT answers
             if len(found) > cap:
                 overflow = True
                 break

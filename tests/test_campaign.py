@@ -10,11 +10,16 @@ from set2seu.campaign import (
 )
 from set2seu.ffsets import SetCollection, ffset
 
-UNIVERSE = tuple(f"ff{i}" for i in range(8))
+
+def names(n):
+    return tuple(f"ff{i}" for i in range(n))
 
 
-def coll(sets):
-    return SetCollection(UNIVERSE, tuple((f"s{i}", ffset(m)) for i, m in enumerate(sets)))
+UNIVERSE = names(8)
+
+
+def coll(sets, universe=UNIVERSE):
+    return SetCollection(universe, tuple((f"s{i}", ffset(m)) for i, m in enumerate(sets)))
 
 
 def test_motivational_totals():
@@ -88,6 +93,8 @@ def test_cutoffs():
     assert cutoff_for_confidence("95") == 1.96
     with pytest.raises(ValueError):
         cutoff_for_confidence(80)
+    with pytest.raises(ValueError, match="confidence"):
+        cutoff_for_confidence(95.0000001)
 
 
 def test_sci3_formatting():
@@ -102,7 +109,7 @@ def test_sci3_formatting():
 
 def test_campaign_equal_collections_ratio_one():
     static = coll([[0, 1], [2]])
-    rep = build_campaign(8, static, static)
+    rep = build_campaign(static, static)
     assert rep.static_over_propagated == 1.0
     assert rep.monotonic_reduction
 
@@ -112,7 +119,7 @@ def test_campaign_eq1_growth_not_monotonic():
     # {a,b} adds no combination that {a,b,c} does not already cover.
     static = coll([[0, 1, 2], [0, 1, 2]])
     optimized = coll([[0, 1, 2], [0, 1]])
-    rep = build_campaign(8, static, optimized)
+    rep = build_campaign(static, optimized)
     assert rep.static.total_faults == 7
     assert rep.propagated.total_faults == 10
     assert not rep.monotonic_reduction
@@ -122,23 +129,23 @@ def test_campaign_eq1_growth_not_monotonic():
 def test_campaign_motivational_ratio():
     static = coll([[1, 2, 3, 4], [1, 2], [2, 3]])
     optimized = coll([[1, 2], [2, 3], [1, 4], [1, 2, 3]])
-    rep = build_campaign(8, static, optimized)
+    rep = build_campaign(static, optimized)
     assert rep.static.total_faults == 21
     assert rep.propagated.total_faults == 16
     assert rep.static_over_propagated == 21 / 16 == 1.3125
 
 
 def test_campaign_random_versus_optimized_ratio():
-    static = coll([[0, 1, 2, 3]])
-    optimized = coll([[0, 1, 2, 3]])
-    rep = build_campaign(5, static, optimized)
+    static = coll([[0, 1, 2, 3]], names(5))
+    optimized = coll([[0, 1, 2, 3]], names(5))
+    rep = build_campaign(static, optimized)
     assert rep.random.total_faults == 31
     assert rep.random_over_propagated == 31 / 15
 
 
 def test_campaign_plans_and_csv():
     static = coll([[0, 1], [2]])
-    rep = build_campaign(8, static, static, margins=(0.05, 0.01), confidence=95)
+    rep = build_campaign(static, static, margins=(0.05, 0.01), confidence=95)
     assert len(rep.plans) == 6
     plan = next(p for p in rep.plans if p.method == "random" and p.margin == 0.05)
     assert plan.population == 255
@@ -150,8 +157,8 @@ def test_campaign_plans_and_csv():
 
 
 def test_campaign_exact_huge_population():
-    static = coll([[0, 1]])
-    rep = build_campaign(66, static, static)
+    static = coll([[0, 1]], names(66))
+    rep = build_campaign(static, static)
     assert rep.random.total_faults == 2**66 - 1
     assert rep.to_json()["methods"]["random"]["total_faults"] == str(2**66 - 1)
     assert rep.to_json()["methods"]["random"]["total_faults_sci"] == "7.38E+19"
@@ -159,9 +166,8 @@ def test_campaign_exact_huge_population():
 
 def test_campaign_ratio_beyond_float_range():
     # 2^1100 - 1 random combinations over 3 propagated ones exceeds the float range
-    universe = tuple(f"ff{i}" for i in range(1100))
-    static = SetCollection(universe, (("s0", ffset([0, 1])),))
-    rep = build_campaign(1100, static, static)
+    static = coll([[0, 1]], names(1100))
+    rep = build_campaign(static, static)
     reduction = rep.to_json()["reduction"]
     assert reduction["static_over_propagated"] == 1.0
     assert reduction["random_over_propagated"] == sci3((2**1100 - 1) // 3) == "4.53E+330"
@@ -174,3 +180,17 @@ def test_per_set_bound_within_universe():
     n = len(UNIVERSE)
     for s in c.unique_sets:
         assert (1 << s.multiplicity) - 1 <= (1 << n) - 1
+
+
+def test_campaign_without_flip_flops():
+    # a circuit such as `INPUT(a) OUTPUT(b) b = NOT(a)` has no flip-flop and no set
+    empty = SetCollection((), ())
+    rep = build_campaign(empty, empty)
+    assert rep.num_ffs == 0
+    assert rep.static_over_propagated is None and rep.random_over_propagated is None
+    assert all(p.population == 0 and p.sample == 0 for p in rep.plans)
+    assert rep.to_csv().splitlines()[1:] == [
+        "static,0,0,0,0,0,0,0",
+        "propagated,0,0,0,0,0,0,0",
+        "random,0,0,0,0,0,0,0",
+    ]

@@ -88,6 +88,7 @@ def test_report_consumes_stage_artifacts(tmp_path, fixture):
     assert strip_timestamp((out / "report.json").read_text()) == strip_timestamp(
         (fresh / "report.json").read_text()
     )
+    assert (out / "report.csv").read_bytes() == (fresh / "report.csv").read_bytes()
 
 
 def _swap_patterns(a, b):
@@ -344,6 +345,7 @@ def test_bad_config_value_names_setting_file_and_line(tmp_path, capsys, line, se
     [
         pytest.param("--conflict-cap", "-1", "conflict_cap", id="negative_conflict_cap"),
         pytest.param("--margins", "", "margins", id="empty_margins"),
+        pytest.param("--confidence", "95.0000001", "confidence", id="near_known_confidence"),
     ],
 )
 def test_out_of_range_flag_value_names_setting(tmp_path, capsys, flag, value, setting):
