@@ -4,6 +4,11 @@ The circuit is a flat, immutable graph: nets are integer ids, each driven by
 exactly one of a primary input, a gate output, or a flip-flop Q output.
 Flip-flops cut the graph into a purely combinational (acyclic) part plus
 state elements; all downstream analyses rely on that.
+
+`GATE_KINDS` maps each gate kind to (base, inverted): its base function,
+AND, OR or XOR of two or more inputs or BUFF of exactly one, and whether it
+inverts the output.  NAND, NOR, XNOR and NOT are inverted AND, OR, XOR and
+BUFF.  The validator, the evaluator and the CNF encoder all read this table.
 """
 
 from __future__ import annotations
@@ -14,8 +19,16 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-GATE_KINDS = ("AND", "OR", "NAND", "NOR", "XOR", "XNOR", "NOT", "BUFF")
-_UNARY = ("NOT", "BUFF")
+GATE_KINDS: dict[str, tuple[str, bool]] = {
+    "AND": ("AND", False),
+    "OR": ("OR", False),
+    "NAND": ("AND", True),
+    "NOR": ("OR", True),
+    "XOR": ("XOR", False),
+    "XNOR": ("XOR", True),
+    "NOT": ("BUFF", True),
+    "BUFF": ("BUFF", False),
+}
 
 
 class NetlistError(ValueError):
@@ -255,11 +268,12 @@ def build_circuit(
     for kind, ins, out in gate_rows:
         if kind not in GATE_KINDS:
             raise NetlistError(f"unknown gate kind '{kind}'", where(out))
-        if kind in _UNARY and len(ins) != 1:
+        unary = GATE_KINDS[kind][0] == "BUFF"
+        if unary and len(ins) != 1:
             raise NetlistError(
                 f"{kind} gate '{names[out]}' must have exactly 1 input", where(out)
             )
-        if kind not in _UNARY and len(ins) < 2:
+        if not unary and len(ins) < 2:
             raise NetlistError(f"{kind} gate '{names[out]}' needs at least 2 inputs", where(out))
 
     c = Circuit(

@@ -14,7 +14,7 @@ precondition keeps it from being misused.
 
 from __future__ import annotations
 
-from .cones import FaultSite, relevant_closure, site_support
+from .cones import FaultSite, closure_support, relevant_closure
 from .ffsets import FFSet
 from .netlist import Circuit
 from .propagation import DifferencePattern, _distinct_patterns, _eval_gate_masked, _var_mask
@@ -88,13 +88,13 @@ def exhaustive_patterns(
     """
     if not site.static_ffs:
         raise ValueError("site reaches no flip-flop; nothing to enumerate")
-    support = site_support(c, site)
+    region = relevant_closure(c, site)
+    support = closure_support(c, region)
     k = len(support)
     if k > support_limit:
         raise ValueError(
             f"support of size {k} exceeds limit {support_limit}; refusing exhaustive sweep"
         )
-    region = relevant_closure(c, site)
     region_gates = [gid for gid in c.topo_gates if c.gates[gid].output in region]
     full = (1 << (1 << k)) - 1
 

@@ -39,12 +39,13 @@ from __future__ import annotations
 import time
 from collections.abc import Container, Iterable
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, repeat
+from operator import and_, or_, xor
 
 from .cones import FaultSite, closure_support, relevant_closure
 from .ffsets import FFSet, SetCollection
-from .netlist import Circuit
+from .netlist import GATE_KINDS, Circuit
 from .solver import UNKNOWN, UNSAT, CdclSolver, to_dimacs
 
 DEFAULT_PATTERN_CAP = 4096
@@ -159,6 +160,8 @@ def build_region(c: Circuit, site: FaultSite) -> Region:
 def _faulty_fanout(c: Circuit, region: Region, site: FaultSite) -> tuple[int, ...]:
     """The region's gates downstream of the site, in topological order: the
     gates whose faulty value can differ from their good one."""
+    if region.static_ffs != site.static_ffs:
+        raise ValueError("the region is of another flip-flop set than the site's")
     down = {site.site_net}
     fanout = []
     for gid in region.gates:
@@ -188,36 +191,27 @@ def build_miter(c: Circuit, site: FaultSite, region: Region | None = None) -> Mi
 def gate_clauses(kind: str, out: int, ins: list[int], new_var) -> list[tuple[int, ...]]:
     """CNF block asserting out <-> KIND(ins); literals may be negative.
 
-    Multi-input XOR/XNOR chain through auxiliary variables from new_var().
+    One template per base function of `GATE_KINDS`; an inverted kind negates
+    the output literal, but NOT is BUFF of the negated input, which keeps its
+    clause order.  Multi-input XOR/XNOR chain through aux vars from new_var().
     """
-    if kind == "AND":
-        return [(-out, i) for i in ins] + [tuple([out] + [-i for i in ins])]
-    if kind == "NAND":
-        return [(out, i) for i in ins] + [tuple([-out] + [-i for i in ins])]
-    if kind == "OR":
-        return [(out, -i) for i in ins] + [tuple([-out] + list(ins))]
-    if kind == "NOR":
-        return [(-out, -i) for i in ins] + [tuple([out] + list(ins))]
-    if kind == "NOT":
+    base, inverted = GATE_KINDS[kind]
+    if base == "BUFF":
         (a,) = ins
-        return [(-out, -a), (out, a)]
-    if kind == "BUFF":
-        (a,) = ins
+        a = -a if inverted else a
         return [(-out, a), (out, -a)]
-    if kind in ("XOR", "XNOR"):
-        clauses: list[tuple[int, ...]] = []
-        acc = ins[0]
-        for nxt in ins[1:-1]:
-            aux = new_var()
-            clauses += _xor2(aux, acc, nxt)
-            acc = aux
-        last = ins[-1]
-        if kind == "XOR":
-            clauses += _xor2(out, acc, last)
-        else:
-            clauses += _xor2(-out, acc, last)
-        return clauses
-    raise ValueError(f"unknown gate kind '{kind}'")
+    out = -out if inverted else out
+    if base == "AND":
+        return [(-out, i) for i in ins] + [(out, *(-i for i in ins))]
+    if base == "OR":
+        return [(out, -i) for i in ins] + [(-out, *ins)]
+    clauses: list[tuple[int, ...]] = []
+    acc = ins[0]
+    for nxt in ins[1:-1]:
+        aux = new_var()
+        clauses += _xor2(aux, acc, nxt)
+        acc = aux
+    return clauses + _xor2(out, acc, ins[-1])
 
 
 def _xor2(o: int, a: int, b: int) -> list[tuple[int, int, int]]:
@@ -314,27 +308,19 @@ def _flip_masks(k: int, radius: int) -> tuple[int, tuple[int, ...]]:
     return (1 << bit) - 1, tuple(flips)
 
 
+# Per gate kind, the bitwise operator of its base function and whether it
+# inverts.  A BUFF's one input is what `reduce` returns, whatever the operator.
+_MASKED = {
+    kind: ({"AND": and_, "OR": or_, "XOR": xor, "BUFF": and_}[base], inverted)
+    for kind, (base, inverted) in GATE_KINDS.items()
+}
+
+
 def _eval_gate_masked(kind: str, ins: list[int], full: int) -> int:
-    if kind in ("AND", "NAND"):
-        v = ins[0]
-        for x in ins[1:]:
-            v &= x
-        return v if kind == "AND" else full ^ v
-    if kind in ("OR", "NOR"):
-        v = ins[0]
-        for x in ins[1:]:
-            v |= x
-        return v if kind == "OR" else full ^ v
-    if kind in ("XOR", "XNOR"):
-        v = ins[0]
-        for x in ins[1:]:
-            v ^= x
-        return v if kind == "XOR" else full ^ v
-    if kind == "NOT":
-        return full ^ ins[0]
-    if kind == "BUFF":
-        return ins[0]
-    raise ValueError(f"unknown gate kind '{kind}'")
+    """The gate's output, one bit per assignment (the bits of `full`)."""
+    op, inverted = _MASKED[kind]
+    v = reduce(op, ins)
+    return full ^ v if inverted else v
 
 
 def _distinct_patterns(
@@ -462,8 +448,6 @@ def enumerate_patterns(
     t0 = time.perf_counter()
     if region is None:
         region = build_region(c, site)
-    elif region.static_ffs != site.static_ffs:
-        raise ValueError("the region is of another flip-flop set than the site's")
     site_name = c.net_names[site.site_net]
     solves = 0
     if sweep is not None:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 
-from .netlist import Circuit, build_circuit
+from .netlist import GATE_KINDS, Circuit, build_circuit
 
 _KINDS = ["AND", "AND", "OR", "OR", "NAND", "NOR", "XOR", "XNOR", "NOT", "BUFF"]
 
@@ -50,10 +50,11 @@ def make_random_circuit(
     gate_outs: list[int] = []
     for i in range(n_gates):
         kind = rng.choice(_KINDS)
-        arity = 1 if kind in ("NOT", "BUFF") else rng.choice([2, 2, 2, 3])
+        unary = GATE_KINDS[kind][0] == "BUFF"
+        arity = 1 if unary else rng.choice([2, 2, 2, 3])
         window = pool if locality is None else pool[-locality:]
         ins = tuple(rng.choice(window) for _ in range(arity))
-        if kind not in ("NOT", "BUFF") and len(set(ins)) < 2:
+        if not unary and len(set(ins)) < 2:
             extra = rng.choice(window)
             ins = ins + (extra,)
         out = add_net(f"n{i}")

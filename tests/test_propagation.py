@@ -5,12 +5,13 @@ import pytest
 from set2seu import parse_bench, propagation
 from set2seu.cones import enumerate_fault_sites, site_support
 from set2seu.ffsets import FFSet, SetCollection, collect_static_sets, ffset
-from set2seu.oracle import exhaustive_patterns, simulate
+from set2seu.oracle import _eval_gate, exhaustive_patterns, simulate
 from set2seu.propagation import (
     SIM_SUPPORT_LIMIT,
     DifferencePattern,
     PatternResult,
     _blocking_cube,
+    _eval_gate_masked,
     _flip_masks,
     _neighbourhood_diffs,
     _sweep,
@@ -76,26 +77,40 @@ def downstream(c, net):
 # -- Tseitin blocks ----------------------------------------------------------
 
 
-def test_gate_clause_counts():
+# (arity, kind): every gate kind at each arity the gate tests cover
+GATE_CASES = [
+    (arity, kind)
+    for arity in (2, 3, 4)
+    for kind in ("AND", "NAND", "NOR", "OR", "XNOR", "XOR")
+] + [(1, "NOT"), (1, "BUFF")]
+
+
+def test_gate_clause_lists():
+    """The exact clauses, in order: the solver's search depends on it."""
     aux = iter(range(100, 200)).__next__
-    assert len(gate_clauses("AND", 3, [1, 2], aux)) == 3
-    assert len(gate_clauses("OR", 3, [1, 2], aux)) == 3
-    assert len(gate_clauses("NAND", 3, [1, 2], aux)) == 3
-    assert len(gate_clauses("NOR", 3, [1, 2], aux)) == 3
-    assert len(gate_clauses("XOR", 3, [1, 2], aux)) == 4
-    assert len(gate_clauses("XNOR", 3, [1, 2], aux)) == 4
-    assert len(gate_clauses("NOT", 2, [1], aux)) == 2
-    assert len(gate_clauses("BUFF", 2, [1], aux)) == 2
-    assert len(gate_clauses("AND", 4, [1, 2, 3], aux)) == 4
-    assert len(gate_clauses("XOR", 4, [1, 2, 3], aux)) == 8  # one aux chain link
+    assert gate_clauses("AND", 3, [1, 2], aux) == [(-3, 1), (-3, 2), (3, -1, -2)]
+    assert gate_clauses("NAND", 3, [1, 2], aux) == [(3, 1), (3, 2), (-3, -1, -2)]
+    assert gate_clauses("OR", 3, [1, 2], aux) == [(3, -1), (3, -2), (-3, 1, 2)]
+    assert gate_clauses("NOR", 3, [1, 2], aux) == [(-3, -1), (-3, -2), (3, 1, 2)]
+    assert gate_clauses("XOR", 3, [1, 2], aux) == [
+        (-3, 1, 2), (-3, -1, -2), (3, -1, 2), (3, 1, -2)
+    ]
+    assert gate_clauses("XNOR", 3, [1, 2], aux) == [
+        (3, 1, 2), (3, -1, -2), (-3, -1, 2), (-3, 1, -2)
+    ]
+    assert gate_clauses("NOT", 2, [1], aux) == [(-2, -1), (2, 1)]
+    assert gate_clauses("BUFF", 2, [1], aux) == [(-2, 1), (2, -1)]
+    assert gate_clauses("AND", 4, [1, 2, 3], aux) == [(-4, 1), (-4, 2), (-4, 3), (4, -1, -2, -3)]
+    # one aux chain link: 100 <-> 1 ^ 2, then 4 <-> 100 ^ 3
+    assert gate_clauses("XOR", 4, [1, 2, 3], aux) == [
+        (-100, 1, 2), (-100, -1, -2), (100, -1, 2), (100, 1, -2),
+        (-4, 100, 3), (-4, -100, -3), (4, -100, 3), (4, 100, -3),
+    ]
 
 
-@pytest.mark.parametrize("kind", ["AND", "OR", "NAND", "NOR", "XOR", "XNOR"])
-@pytest.mark.parametrize("arity", [2, 3])
+@pytest.mark.parametrize("arity,kind", GATE_CASES)
 def test_gate_clauses_encode_truth_table(kind, arity):
     import itertools
-
-    from set2seu.oracle import _eval_gate
 
     counter = [arity + 1]
 
@@ -539,6 +554,17 @@ def test_var_mask_matches_definition(k):
         assert _var_mask(v, k) == sum(((i >> v) & 1) << i for i in range(1 << k))
 
 
+@pytest.mark.parametrize("arity,kind", GATE_CASES)
+def test_eval_gate_masked_matches_scalar_reference(kind, arity):
+    """Bit i of the bit-parallel output is the scalar reference's output
+    under the assignment whose input j is (i >> j) & 1."""
+    full = (1 << (1 << arity)) - 1
+    v = _eval_gate_masked(kind, [_var_mask(j, arity) for j in range(arity)], full)
+    assert v & ~full == 0
+    for i in range(1 << arity):
+        assert bool(v >> i & 1) == _eval_gate(kind, [bool(i >> j & 1) for j in range(arity)])
+
+
 @pytest.mark.parametrize("radius", range(3))
 @pytest.mark.parametrize("k", range(1, 7))
 def test_flip_masks_cover_the_hamming_ball_once(k, radius):
@@ -551,13 +577,20 @@ def test_flip_masks_cover_the_hamming_ball_once(k, radius):
     assert flipped == want
 
 
-@pytest.mark.parametrize("engine", ["sim", "sat"])
-def test_sweep_of_another_region_rejected(divergent3, engine):
+@pytest.mark.parametrize("call", ["sim", "sat", "build_miter", "export_site_cnf"])
+def test_sweep_of_another_region_rejected(divergent3, call):
+    """Every reader of a region refuses the region of another flip-flop set."""
     sites = sites_by_name(divergent3)
     region = build_region(divergent3, sites["c"])
-    sweep = _sweep(divergent3, region) if engine == "sim" else None
+    x = sites["x"]
+    sweep = _sweep(divergent3, region) if call == "sim" else None
     with pytest.raises(ValueError):
-        enumerate_patterns(divergent3, sites["x"], region=region, sweep=sweep)
+        if call == "build_miter":
+            build_miter(divergent3, x, region)
+        elif call == "export_site_cnf":
+            export_site_cnf(divergent3, x, region)
+        else:
+            enumerate_patterns(divergent3, x, region=region, sweep=sweep)
 
 
 # -- optimize_sets -----------------------------------------------------------------
