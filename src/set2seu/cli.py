@@ -218,9 +218,26 @@ def patterns_json(c: netlist.Circuit, results: dict[str, propagation.PatternResu
     return {"circuit": asdict(c.stats()), "ffs": [f.name for f in c.flipflops], "sites": rows}
 
 
+def _json_list(value, path, what: str) -> list:
+    """`value`, which must be a JSON list: a string would be read one character at a time."""
+    if not isinstance(value, list):
+        raise ValueError(f"{path}: {what} is not a list")
+    return value
+
+
+def _check_unique(names, path, what: str) -> None:
+    """A name that occurs twice in `names` is an error in `path`."""
+    seen = set()
+    for n in names:
+        if n in seen:
+            raise ValueError(f"{path}: {what} '{n}' is listed twice")
+        seen.add(n)
+
+
 def _read_ffset(idx: dict[str, int], names: list[str], path, site: str) -> ffsets.FFSet:
-    """The FFSet of flip-flop `names`; an empty list or an unknown name is an error in `path`."""
-    if not names:
+    """The FFSet of flip-flop `names`; anything but a nonempty list of known
+    names is an error in `path`."""
+    if not _json_list(names, path, f"a flip-flop list of site '{site}'"):
         raise ValueError(f"{path}: site '{site}' has an empty flip-flop list")
     try:
         return ffsets.ffset(idx[n] for n in names)
@@ -263,7 +280,8 @@ def patterns_from_json(
                 f"{'/'.join(str(v).lower() for v in flags.values())}, which no analysis yields"
             )
         reach = set(static_of[site].members)
-        patterns = tuple(_read_ffset(idx, p, path, site) for p in row["patterns"])
+        lists = _json_list(row["patterns"], path, f"'patterns' of site '{site}'")
+        patterns = tuple(_read_ffset(idx, p, path, site) for p in lists)
         for p in patterns:
             outside = set(p.members) - reach
             if outside:
@@ -415,11 +433,9 @@ def report_from_artifacts(cfg: RunConfig) -> int:
         return EXIT_MISSING_STAGE
     with _reading(sets_path):
         sets_data = json.loads(sets_path.read_text())
-        ff_names = tuple(sets_data["ffs"])
+        ff_names = tuple(_json_list(sets_data["ffs"], sets_path, "'ffs'"))
+        _check_unique(ff_names, sets_path, "flip-flop")
         idx = {n: i for i, n in enumerate(ff_names)}
-        if len(idx) != len(ff_names):
-            twice = next(n for i, n in enumerate(ff_names) if idx[n] != i)
-            raise ValueError(f"{sets_path}: flip-flop '{twice}' is listed twice")
         static = ffsets.SetCollection(
             ff_names,
             tuple(
@@ -427,10 +443,11 @@ def report_from_artifacts(cfg: RunConfig) -> int:
                 for row in sets_data["raw"]
             ),
         )
+        _check_unique((ref for ref, _ in static.raw_sets), sets_path, "site")
         c_stats = sets_data["circuit"]
     with _reading(patterns_path):
         pat_data = json.loads(patterns_path.read_text())
-        if tuple(pat_data["ffs"]) != ff_names:
+        if tuple(_json_list(pat_data["ffs"], patterns_path, "'ffs'")) != ff_names:
             raise ValueError(f"{patterns_path} and {sets_path} list different flip-flops")
         if [r["site"] for r in pat_data["sites"]] != [ref for ref, _ in static.raw_sets]:
             raise ValueError(f"{patterns_path} and {sets_path} list different fault sites")

@@ -4,25 +4,23 @@ A site's region is the union of the fan-in cones of the flip-flops it
 reaches (its `static_ffs`); the region's PIs and FF Q nets are its support.
 Sites with the same `static_ffs` share a region, and `analyze_sites` builds
 each region once (`build_region`: its support and its gates in topological
-order) and hands it to one of two exact engines, which both read it:
+order).  Each site then gets one miter (`build_miter`): the region's good
+circuit paired with a faulty copy of the site's fan-out in it, in which the
+site net is inverted for the whole cycle; every other net is shared.  Two
+exact engines evaluate that miter by bit-parallel simulation, one bit per
+support assignment, and differ only in which assignments they simulate:
 
-- Simulation, when the support has at most SIM_SUPPORT_LIMIT nets.  The
-  region's good circuit is swept once, every support assignment at once,
-  one bit per assignment in a 2**k-bit integer.  Each site then
-  re-simulates only its own faulty fan-out in the region, and the
-  assignments are split into classes of equal difference vectors at the
-  flip-flops.
-- SAT otherwise.  A miter pairs the region's good circuit with a faulty
-  copy of the site's fan-out in it, in which the site net is inverted for
-  the whole cycle; every other net is shared.  Difference variables
-  compare the good and faulty values at each reachable flip-flop's D pin.
-  Each model the solver finds seeds a bit-parallel simulation of its
-  support assignment and of every assignment within HARVEST_RADIUS flips
-  of it (after Larrabee's fault simulation of SAT-generated test vectors,
-  IEEE TCAD 1992), with the same good-circuit loop and fan-out as the
-  sweep.  Each difference vector found there that is not yet listed is
-  recorded and blocked.  Blocking is by cubes: a new vector is widened,
-  one flip-flop at a time, to a subcube of vectors that are all listed
+- Simulation, when the support has at most SIM_SUPPORT_LIMIT nets: every
+  assignment at once, in a 2**k-bit integer.  The region's good circuit is
+  swept once for all its sites; each site re-simulates only its fan-out.
+- SAT otherwise.  The miter is Tseitin-encoded, with difference variables
+  that compare the good and faulty values at each reachable flip-flop's D
+  pin.  Each model the solver finds seeds a simulation of its support
+  assignment and of every assignment within HARVEST_RADIUS flips of it
+  (after Larrabee's fault simulation of SAT-generated test vectors, IEEE
+  TCAD 1992).  Each difference vector found there that is not yet listed
+  is blocked.  Blocking is by cubes: a new vector is widened, one
+  flip-flop at a time, to a subcube of vectors that are all listed
   already, and one clause over the difference variables of the cube's
   fixed flip-flops blocks the whole cube (cube enlargement as in McMillan,
   "Applying SAT methods in unbounded symbolic model checking", CAV 2002,
@@ -30,8 +28,11 @@ order) and hands it to one of two exact engines, which both read it:
   concrete assignment, no unlisted vector is ever blocked, and the loop
   ends only when the solver proves that no unblocked vector is left.
 
-Both give the same patterns; the sweep's cost grows as 2**k times the
-region's gates, so it is only used where that is small.
+One listing step serves both: each simulated batch (the sweep, or one
+model's neighbourhood) is split into classes of equal difference vectors
+at the flip-flops, and the vectors not listed yet are added.  Both give
+the same patterns; the sweep's cost grows as 2**k times the region's
+gates, so it is only used where that is small.
 """
 
 from __future__ import annotations
@@ -94,7 +95,6 @@ class Region:
 class MiterInstance:
     site: FaultSite
     region: Region
-    region_nets: frozenset[int]        # everything the comparison depends on
     dup_gates: tuple[int, ...]         # gates duplicated into the faulty copy
 
 
@@ -102,16 +102,9 @@ class MiterInstance:
 class CnfFormula:
     num_vars: int
     clauses: list[tuple[int, ...]]
-    good_vars: dict[int, int] = field(default_factory=dict)
-    faulty_vars: dict[int, int] = field(default_factory=dict)
-    diff_vars: dict[int, int] = field(default_factory=dict)
-    site_net: int | None = None
-
-    def faulty_lit(self, net: int) -> int:
-        if net in self.faulty_vars:
-            return self.faulty_vars[net]
-        good = self.good_vars[net]
-        return -good if net == self.site_net else good
+    good_vars: dict[int, int]
+    faulty_vars: dict[int, int]
+    diff_vars: dict[int, int]
 
 
 @dataclass(frozen=True)
@@ -157,10 +150,18 @@ def build_region(c: Circuit, site: FaultSite) -> Region:
     return Region(site.static_ffs, closure_support(c, closure), gates)
 
 
-def _faulty_fanout(c: Circuit, region: Region, site: FaultSite) -> tuple[int, ...]:
-    """The region's gates downstream of the site, in topological order: the
-    gates whose faulty value can differ from their good one."""
-    if region.static_ffs != site.static_ffs:
+def build_miter(c: Circuit, site: FaultSite, region: Region | None = None) -> MiterInstance:
+    """Pair a good copy of the site's region (built when not given) with a
+    faulty copy of the site's fan-out in it: the region's gates downstream
+    of the site, in topological order, whose faulty value can differ from
+    their good one.
+
+    Only the logic inside the affected flip-flops' fan-in cones matters for
+    the comparison, so both engines work over the region alone.
+    """
+    if region is None:
+        region = build_region(c, site)
+    elif region.static_ffs != site.static_ffs:
         raise ValueError("the region is of another flip-flop set than the site's")
     down = {site.site_net}
     fanout = []
@@ -169,20 +170,7 @@ def _faulty_fanout(c: Circuit, region: Region, site: FaultSite) -> tuple[int, ..
         if not down.isdisjoint(g.inputs):
             down.add(g.output)
             fanout.append(gid)
-    return tuple(fanout)
-
-
-def build_miter(c: Circuit, site: FaultSite, region: Region | None = None) -> MiterInstance:
-    """Pair a good copy of the site's region (built when not given) with a
-    faulty copy of the site's fan-out in it.
-
-    Only the logic inside the affected flip-flops' fan-in cones matters for
-    the comparison, so the encoding is restricted to the region.
-    """
-    if region is None:
-        region = build_region(c, site)
-    nets = frozenset(region.support).union(c.gates[gid].output for gid in region.gates)
-    return MiterInstance(site, region, nets, _faulty_fanout(c, region, site))
+    return MiterInstance(site, region, tuple(fanout))
 
 
 # -- Tseitin encoding ------------------------------------------------------
@@ -232,41 +220,37 @@ def encode_cnf(m: MiterInstance, c: Circuit) -> CnfFormula:
         counter += 1
         return counter
 
-    good = {net: new_var() for net in sorted(m.region_nets)}
+    region = m.region
+    nets = sorted((*region.support, *(c.gates[gid].output for gid in region.gates)))
+    good = {net: new_var() for net in nets}
     faulty = {c.gates[gid].output: new_var() for gid in m.dup_gates}
     diff = {f: new_var() for f in m.site.static_ffs}
-    formula = CnfFormula(
-        num_vars=counter,
-        clauses=[],
-        good_vars=good,
-        faulty_vars=faulty,
-        diff_vars=diff,
-        site_net=m.site.site_net,
-    )
 
-    cls = formula.clauses
-    for gid in m.region.gates:
+    def faulty_lit(net: int) -> int:
+        if net in faulty:
+            return faulty[net]
+        return -good[net] if net == m.site.site_net else good[net]
+
+    cls: list[tuple[int, ...]] = []
+    for gid in region.gates:
         g = c.gates[gid]
         cls.extend(gate_clauses(g.kind, good[g.output], [good[n] for n in g.inputs], new_var))
     for gid in m.dup_gates:
         g = c.gates[gid]
         cls.extend(
-            gate_clauses(
-                g.kind, faulty[g.output], [formula.faulty_lit(n) for n in g.inputs], new_var
-            )
+            gate_clauses(g.kind, faulty[g.output], [faulty_lit(n) for n in g.inputs], new_var)
         )
     for f in m.site.static_ffs:
         d_net = c.flipflops[f].d_net
         glit = good[d_net]
-        flit = formula.faulty_lit(d_net)
+        flit = faulty_lit(d_net)
         if flit == -glit:
             cls.append((diff[f],))          # flip always observed at this FF
         elif flit == glit:
             cls.append((-diff[f],))         # not downstream: never differs
         else:
             cls.extend(_xor2(diff[f], glit, flit))
-    formula.num_vars = counter
-    return formula
+    return CnfFormula(counter, cls, good, faulty, diff)
 
 
 # -- bit-parallel simulation ----------------------------------------------
@@ -369,28 +353,23 @@ def _sweep(c: Circuit, region: Region) -> dict[int, int]:
     return _good_values(c, region, [_var_mask(j, k) for j in range(k)], (1 << (1 << k)) - 1)
 
 
-def _difference_masks(
-    c: Circuit, site: FaultSite, good: dict[int, int], full: int, fanout: Iterable[int]
-) -> list[int]:
-    """Per flip-flop of the site, the assignments (bits of `full`) under which
-    its D pin differs between the good and the faulty circuit.
+def _difference_masks(c: Circuit, m: MiterInstance, good: dict[int, int], full: int) -> list[int]:
+    """Per flip-flop of the miter's site, the assignments (bits of `full`)
+    under which its D pin differs between the good and the faulty circuit.
 
-    `good` holds the good value of every region net; `fanout` lists, in
-    topological order, the gates downstream of the site.  Only those are
-    re-simulated with the site inverted: every other net keeps its good
-    value in the faulty circuit.
+    `good` holds the good value of every region net.  Only the miter's
+    faulty fan-out is re-simulated with the site inverted: every other net
+    keeps its good value in the faulty circuit.
     """
+    site = m.site
     faulty = {site.site_net: good[site.site_net] ^ full}
-    for gid in fanout:
+    for gid in m.dup_gates:
         g = c.gates[gid]
         faulty[g.output] = _eval_gate_masked(
             g.kind, [faulty.get(n, good[n]) for n in g.inputs], full
         )
-    diffs = []
-    for f in site.static_ffs:
-        d = c.flipflops[f].d_net
-        diffs.append(good[d] ^ faulty.get(d, good[d]))
-    return diffs
+    d_nets = [c.flipflops[f].d_net for f in site.static_ffs]
+    return [good[d] ^ faulty.get(d, good[d]) for d in d_nets]
 
 
 def _neighbourhood_diffs(c: Circuit, m: MiterInstance, base: list[bool]) -> tuple[list[int], int]:
@@ -399,7 +378,7 @@ def _neighbourhood_diffs(c: Circuit, m: MiterInstance, base: list[bool]) -> tupl
     each with `base` itself at bit 0, and the mask of those bits."""
     full, flips = _flip_masks(len(m.region.support), HARVEST_RADIUS)
     good = _good_values(c, m.region, [(full if b else 0) ^ fl for b, fl in zip(base, flips)], full)
-    return _difference_masks(c, m.site, good, full, m.dup_gates), full
+    return _difference_masks(c, m, good, full), full
 
 
 def _blocking_cube(v: int, listed: Container[int], k: int) -> tuple[int, int]:
@@ -433,52 +412,62 @@ def enumerate_patterns(
 ) -> PatternResult:
     """All distinct nonempty difference vectors achievable at this site.
 
-    `region` is the site's region, built when not given.  With `sweep`, the
-    region's `_sweep`, the vectors are read off simulation.  Without it,
-    iterated SAT: each model's neighbourhood of support assignments is
-    simulated, and every new vector found there is listed and blocked by a
-    clause over difference variables only (see `_blocking_cube`), so
-    patterns (not models) are enumerated until the solver proves none is
-    left.  More than `cap` patterns (the first `cap` are listed), or a
-    solver budget exhaustion, yields an Overflow result that falls back to
-    the static set (sound, never wrong).
+    `region` is the site's region, built when not given.  Both engines
+    simulate the site's miter and list each new vector they see, in the
+    order of `_distinct_patterns` within each simulated batch.  With
+    `sweep`, the region's `_sweep`, the one batch is every support
+    assignment, cut after cap + 1 vectors.  Without it, iterated SAT: each
+    model's neighbourhood of support assignments is one batch, and every
+    new vector found there is blocked by a clause over difference variables
+    only (see `_blocking_cube`), so patterns (not models) are enumerated
+    until the solver proves none is left.  More than `cap` patterns (the
+    first `cap` are listed), or a solver budget exhaustion, yields an
+    Overflow result that falls back to the static set (sound, never wrong).
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
     t0 = time.perf_counter()
-    if region is None:
-        region = build_region(c, site)
+    m = build_miter(c, site, region)
     site_name = c.net_names[site.site_net]
+    ffs = site.static_ffs
+    pos = {ff: j for j, ff in enumerate(ffs)}
+    found: dict[int, tuple[int, ...]] = {}   # vector, bit j for ffs[j] -> its FFs
+
+    def code(members: tuple[int, ...]) -> int:
+        return sum(1 << pos[ff] for ff in members)
+
+    def list_new(diffs: list[int], full: int, limit: int | None = None) -> list[int]:
+        """List the vectors of one simulated batch not listed yet; their codes."""
+        new = []
+        for members in _distinct_patterns(diffs, ffs, full, limit):
+            v = code(members)
+            if v not in found:
+                found[v] = members
+                new.append(v)
+        return new
+
+    unknown = False
     solves = 0
     if sweep is not None:
-        full = (1 << (1 << len(region.support))) - 1
-        diffs = _difference_masks(c, site, sweep, full, _faulty_fanout(c, region, site))
-        listed = _distinct_patterns(diffs, site.static_ffs, full, limit=cap + 1)
-        overflow = len(listed) > cap
-        complete, unknown = not overflow, False
+        full = (1 << (1 << len(m.region.support))) - 1
+        list_new(_difference_masks(c, m, sweep, full), full, limit=cap + 1)
     else:
-        m = build_miter(c, site, region)
         f = encode_cnf(m, c)
         solver = CdclSolver(f.num_vars)
         for cl in f.clauses:
             solver.add_clause(cl)
-        ffs = site.static_ffs
         dvars = [f.diff_vars[ff] for ff in ffs]
         solver.add_clause(dvars)  # some difference must be observed
-        svars = [f.good_vars[net] for net in region.support]
-
-        pos = {ff: j for j, ff in enumerate(ffs)}
-        found: dict[int, tuple[int, ...]] = {}   # vector, bit j for ffs[j] -> its FFs
-        overflow = unknown = complete = False
-        while True:
+        svars = [f.good_vars[net] for net in m.region.support]
+        # every harvest lists the model's own, unblocked vector, so the loop
+        # stops after at most cap + 1 SAT answers
+        while len(found) <= cap:
             res = solver.solve(conflict_limit=conflict_limit)
             solves += 1
             if res.status == UNKNOWN:
                 unknown = True
-                overflow = True
                 break
             if res.status == UNSAT:
-                complete = True
                 break
             model = res.model
             diffs, full = _neighbourhood_diffs(c, m, [model[v] for v in svars])
@@ -488,17 +477,11 @@ def enumerate_patterns(
                     f"site '{site_name}': the SAT model's difference vector {own} is not "
                     "what simulating its assignment gives; encoding and evaluator disagree"
                 )
-            if sum(1 << pos[ff] for ff in own) in found:
+            if code(own) in found:
                 # without this, the loop would find the unblocked vector forever
                 raise RuntimeError(f"site '{site_name}': the listed vector {own} was not blocked")
-            new = []
-            for members in _distinct_patterns(diffs, ffs, full):
-                v = sum(1 << pos[ff] for ff in members)
-                if v not in found:
-                    found[v] = members
-                    new.append(v)
             cubes: list[tuple[int, int]] = []
-            for v in new:
+            for v in list_new(diffs, full):
                 if any(v & ~free == base for base, free in cubes):
                     continue
                 base, free = _blocking_cube(v, found, len(ffs))
@@ -507,16 +490,12 @@ def enumerate_patterns(
                     [-dv if base >> j & 1 else dv
                      for j, dv in enumerate(dvars) if not free >> j & 1]
                 )
-            # every harvest lists the model's own, unblocked vector, so this
-            # is reached after at most cap + 1 SAT answers
-            if len(found) > cap:
-                overflow = True
-                break
-        listed = list(found.values())
+    overflow = unknown or len(found) > cap
+    listed = list(found.values())[:cap]
     return PatternResult(
         site=site_name,
-        patterns=tuple(DifferencePattern(site_name, FFSet(ms)) for ms in listed[:cap]),
-        complete=complete,
+        patterns=tuple(DifferencePattern(site_name, FFSet(ms)) for ms in listed),
+        complete=not overflow,
         overflow=overflow,
         unknown=unknown,
         static_ffs=FFSet(site.static_ffs),

@@ -170,6 +170,79 @@ def _repeated_ff_name(a, b):
     return {b: ["sets.json", f"'{data['ffs'][0]}' is listed twice"]}
 
 
+# one-letter flip-flop names: a name list joined into one string reads, one
+# character at a time, as the same names
+SHORT_NAMES = """INPUT(x)
+INPUT(y)
+OUTPUT(a)
+a = DFF(g1)
+b = DFF(g2)
+s = XOR(x, y)
+g1 = AND(s, a)
+g2 = OR(s, b)
+"""
+
+
+def _short_names_run(tmp, name):
+    """Staged sets and propagate of SHORT_NAMES in directory `name` under `tmp`."""
+    bench = tmp / "short.bench"
+    bench.write_text(SHORT_NAMES)
+    out = tmp / name
+    for cmd in ("sets", "propagate"):
+        assert run_cli([cmd, "--input", bench, "--out", out]) == EXIT_OK
+    return out
+
+
+def _string_name_list(a, b):
+    """Each place that holds a list of flip-flop names, given its joined
+    string instead, in a run of its own."""
+    expected = {}
+
+    def corrupt(name, file, edit, *texts):
+        out = _short_names_run(a.parent, name)
+        path = out / file
+        data = read_json(path)
+        edit(data)
+        path.write_text(json.dumps(data))
+        expected[out] = [file, *texts, "is not a list"]
+
+    def ffs(data):
+        data["ffs"] = "".join(data["ffs"])
+
+    def raw_members(data):
+        for row in data["raw"]:
+            row["members"] = "".join(row["members"])
+
+    def site_patterns(data):
+        for row in data["sites"]:
+            row["patterns"] = "".join(n for p in row["patterns"] for n in p)
+
+    def each_pattern(data):
+        for row in data["sites"]:
+            row["patterns"] = ["".join(p) for p in row["patterns"]]
+
+    first = read_json(_short_names_run(a.parent, "plain") / "patterns.json")["sites"]
+    with_patterns = next(r["site"] for r in first if r["patterns"])
+    corrupt("sets_ffs", "sets.json", ffs, "'ffs'")
+    corrupt("raw_members", "sets.json", raw_members, f"'{first[0]['site']}'")
+    corrupt("patterns_ffs", "patterns.json", ffs, "'ffs'")
+    corrupt("site_patterns", "patterns.json", site_patterns, f"'{first[0]['site']}'")
+    corrupt("each_pattern", "patterns.json", each_pattern, f"'{with_patterns}'")
+    return expected
+
+
+def _repeated_site(a, b):
+    """A second row for site g1, with no patterns, in both files."""
+    out = _short_names_run(a.parent, "short")
+    sets, patterns = read_json(out / "sets.json"), read_json(out / "patterns.json")
+    sets["raw"].append(next(r for r in sets["raw"] if r["site"] == "g1"))
+    row = next(r for r in patterns["sites"] if r["site"] == "g1")
+    patterns["sites"].append({**row, "patterns": []})
+    (out / "sets.json").write_text(json.dumps(sets))
+    (out / "patterns.json").write_text(json.dumps(patterns))
+    return {out: ["sets.json", "'g1'", "listed twice"]}
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -182,6 +255,8 @@ def _repeated_ff_name(a, b):
         _inconsistent_flags,
         _pattern_outside_static_set,
         _repeated_ff_name,
+        _string_name_list,
+        _repeated_site,
     ],
     ids=[
         "swapped",
@@ -193,6 +268,8 @@ def _repeated_ff_name(a, b):
         "inconsistent_flags",
         "pattern_outside_static_set",
         "repeated_ff_name",
+        "string_name_list",
+        "repeated_site",
     ],
 )
 def test_report_rejects_mismatched_artifacts(tmp_path, corrupt):

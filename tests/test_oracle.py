@@ -151,5 +151,5 @@ def test_simulation_agrees_with_cnf_models_on_random_assignments():
         res = solve_cnf(f.num_vars, f.clauses, assumptions=assumptions)
         assert res.status == SAT  # circuit clauses are always satisfiable
         vals = simulate(c, others | bits)
-        for net in m.region_nets:
+        for net in (*m.region.support, *(c.gates[g].output for g in m.region.gates)):
             assert res.model[f.good_vars[net]] == vals[net]

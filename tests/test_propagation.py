@@ -169,9 +169,9 @@ def test_nets_outside_fanout_are_shared(fanout_demo):
     m = build_miter(fanout_demo, s)
     f = encode_cnf(m, fanout_demo)
     down = downstream(fanout_demo, s.site_net)
-    for net in m.region_nets:
+    for net in (*m.region.support, *(fanout_demo.gates[g].output for g in m.region.gates)):
         if net not in down:
-            assert f.faulty_lit(net) == f.good_vars[net]
+            assert net not in f.faulty_vars
 
 
 # -- solve_cnf over encoded formulas -------------------------------------------
@@ -208,7 +208,7 @@ def test_model_decodes_to_consistent_simulation():
             )
             good = simulate(c, assignment)
             bad = simulate(c, assignment, forced_flip=site.site_net)
-            for net in m.region_nets:
+            for net in (*m.region.support, *(c.gates[g].output for g in m.region.gates)):
                 assert good[net] == res.model[f.good_vars[net]]
             for net, var in f.faulty_vars.items():
                 assert bad[net] == res.model[var]
@@ -275,6 +275,18 @@ def test_exactly_cap_patterns_is_not_overflow(divergent, engine):
     r = enumerate_with(engine, divergent, s, cap=2)
     assert r.complete and not r.overflow
     assert len(r.patterns) == 2
+
+
+@pytest.mark.parametrize("engine", ["sim", "sat"])
+def test_overflow_lists_by_size_then_declaration_order(engine):
+    # z is declared before a, so {z} comes first though "a" < "z" by name
+    c = parse_bench(
+        "INPUT(x)\nINPUT(y)\nOUTPUT(z)\nz = DFF(g1)\na = DFF(g2)\n"
+        "g1 = AND(x, y)\ng2 = AND(x, z)"
+    )
+    r = enumerate_with(engine, c, sites_by_name(c)["x"], cap=1)
+    assert r.overflow
+    assert [[c.flipflops[f].name for f in p.ffs.members] for p in r.patterns] == [["z"]]
 
 
 def test_solver_unknown_becomes_overflow(reconv):
