@@ -434,6 +434,8 @@ def report_from_artifacts(cfg: RunConfig) -> int:
     with _reading(sets_path):
         sets_data = json.loads(sets_path.read_text())
         ff_names = tuple(_json_list(sets_data["ffs"], sets_path, "'ffs'"))
+        if not all(isinstance(n, str) for n in ff_names):
+            raise ValueError(f"{sets_path}: 'ffs' holds a flip-flop name that is not a string")
         _check_unique(ff_names, sets_path, "flip-flop")
         idx = {n: i for i, n in enumerate(ff_names)}
         static = ffsets.SetCollection(

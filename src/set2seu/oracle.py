@@ -7,9 +7,10 @@ evaluates all support assignments of one site at once, packed into big
 integers (net value = one bit per assignment), with the evaluator and the
 pattern split that the simulation engine in `propagation` uses for regions
 of support at most SIM_SUPPORT_LIMIT.  It re-simulates the whole region
-for every site, so it cross-checks that engine's shared region sweep and
-fan-out re-simulation as well as the SAT engine; the hard support-size
-precondition keeps it from being misused.
+for every site and its whole fan-out, so it cross-checks that engine's
+per-support sweep and event-driven fan-out re-simulation as well as the
+SAT engine; the hard support-size precondition keeps it from being
+misused.
 """
 
 from __future__ import annotations

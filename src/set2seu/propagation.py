@@ -11,8 +11,11 @@ exact engines evaluate that miter by bit-parallel simulation, one bit per
 support assignment, and differ only in which assignments they simulate:
 
 - Simulation, when the support has at most SIM_SUPPORT_LIMIT nets: every
-  assignment at once, in a 2**k-bit integer.  The region's good circuit is
-  swept once for all its sites; each site re-simulates only its fan-out.
+  assignment at once, in a 2**k-bit integer.  A net's good value depends
+  only on its fan-in cone and on where its support nets sit in the
+  support, so regions with the same support give every net they share the
+  same value: the good circuit is swept once per support, over the union
+  of those regions' gates, for all their sites.
 - SAT otherwise.  The miter is Tseitin-encoded, with difference variables
   that compare the good and faulty values at each reachable flip-flop's D
   pin.  Each model the solver finds seeds a simulation of its support
@@ -28,11 +31,15 @@ support assignment, and differ only in which assignments they simulate:
   concrete assignment, no unlisted vector is ever blocked, and the loop
   ends only when the solver proves that no unblocked vector is left.
 
-One listing step serves both: each simulated batch (the sweep, or one
-model's neighbourhood) is split into classes of equal difference vectors
-at the flip-flops, and the vectors not listed yet are added.  Both give
-the same patterns; the sweep's cost grows as 2**k times the region's
-gates, so it is only used where that is small.
+Both engines re-simulate only the site's faulty fan-out, and event-driven:
+a fan-out gate none of whose inputs differs from the good circuit is
+skipped, and a faulty value equal to the good one is dropped, so a
+difference stops where it dies (as in concurrent fault simulation, Ulrich
+and Baker, IEEE Computer 1974).  One listing step serves both: each
+simulated batch (the sweep, or one model's neighbourhood) is split into
+classes of equal difference vectors at the flip-flops, and the vectors not
+listed yet are added.  Both give the same patterns; the sweep's cost grows
+as 2**k times the swept gates, so it is only used where that is small.
 """
 
 from __future__ import annotations
@@ -78,7 +85,8 @@ class DifferencePattern:
 class Region:
     """The union of the fan-in cones of a set of flip-flops.
 
-    Every site that reaches exactly these flip-flops is analysed over it.
+    Every site that reaches exactly these flip-flops is analysed over it;
+    the region of several sites' flip-flops together is swept for them all.
     """
 
     static_ffs: tuple[int, ...]    # the flip-flops
@@ -96,6 +104,15 @@ class MiterInstance:
     site: FaultSite
     region: Region
     dup_gates: tuple[int, ...]         # gates duplicated into the faulty copy
+
+
+@dataclass(frozen=True)
+class Sweep:
+    """Good value of nets under every assignment of `support`: bit i is the
+    value under the assignment whose j-th support net is (i >> j) & 1."""
+
+    support: tuple[int, ...]
+    values: dict[int, int]
 
 
 @dataclass
@@ -346,11 +363,11 @@ def _good_values(c: Circuit, region: Region, inputs: Iterable[int], full: int) -
     return good
 
 
-def _sweep(c: Circuit, region: Region) -> dict[int, int]:
-    """`_good_values` under every support assignment: bit i is the value
-    under the assignment whose j-th support net is (i >> j) & 1."""
+def _sweep(c: Circuit, region: Region) -> Sweep:
+    """`_good_values` of the region under every support assignment."""
     k = len(region.support)
-    return _good_values(c, region, [_var_mask(j, k) for j in range(k)], (1 << (1 << k)) - 1)
+    values = _good_values(c, region, [_var_mask(j, k) for j in range(k)], (1 << (1 << k)) - 1)
+    return Sweep(region.support, values)
 
 
 def _difference_masks(c: Circuit, m: MiterInstance, good: dict[int, int], full: int) -> list[int]:
@@ -358,16 +375,21 @@ def _difference_masks(c: Circuit, m: MiterInstance, good: dict[int, int], full: 
     under which its D pin differs between the good and the faulty circuit.
 
     `good` holds the good value of every region net.  Only the miter's
-    faulty fan-out is re-simulated with the site inverted: every other net
-    keeps its good value in the faulty circuit.
+    faulty fan-out is re-simulated with the site inverted, event-driven: a
+    gate with no differing input is skipped, and a faulty value equal to
+    the good one is not kept, so every net missing from `faulty` keeps its
+    good value in the faulty circuit.
     """
     site = m.site
     faulty = {site.site_net: good[site.site_net] ^ full}
+    differs = faulty.keys()
     for gid in m.dup_gates:
         g = c.gates[gid]
-        faulty[g.output] = _eval_gate_masked(
-            g.kind, [faulty.get(n, good[n]) for n in g.inputs], full
-        )
+        if differs.isdisjoint(g.inputs):
+            continue
+        v = _eval_gate_masked(g.kind, [faulty.get(n, good[n]) for n in g.inputs], full)
+        if v != good[g.output]:
+            faulty[g.output] = v
     d_nets = [c.flipflops[f].d_net for f in site.static_ffs]
     return [good[d] ^ faulty.get(d, good[d]) for d in d_nets]
 
@@ -408,14 +430,15 @@ def enumerate_patterns(
     cap: int = DEFAULT_PATTERN_CAP,
     conflict_limit: int | None = DEFAULT_CONFLICT_CAP,
     region: Region | None = None,
-    sweep: dict[int, int] | None = None,
+    sweep: Sweep | None = None,
 ) -> PatternResult:
     """All distinct nonempty difference vectors achievable at this site.
 
     `region` is the site's region, built when not given.  Both engines
     simulate the site's miter and list each new vector they see, in the
     order of `_distinct_patterns` within each simulated batch.  With
-    `sweep`, the region's `_sweep`, the one batch is every support
+    `sweep`, a `_sweep` of the site's region or of any region with its
+    support (another support is refused), the one batch is every support
     assignment, cut after cap + 1 vectors.  Without it, iterated SAT: each
     model's neighbourhood of support assignments is one batch, and every
     new vector found there is blocked by a clause over difference variables
@@ -449,8 +472,10 @@ def enumerate_patterns(
     unknown = False
     solves = 0
     if sweep is not None:
+        if sweep.support != m.region.support:
+            raise ValueError("the sweep is of another support than the site's region")
         full = (1 << (1 << len(m.region.support))) - 1
-        list_new(_difference_masks(c, m, sweep, full), full, limit=cap + 1)
+        list_new(_difference_masks(c, m, sweep.values, full), full, limit=cap + 1)
     else:
         f = encode_cnf(m, c)
         solver = CdclSolver(f.num_vars)
@@ -519,7 +544,7 @@ def analyze_sites(
     site net id either way.
     """
     work = [s for s in sites if s.static_ffs]
-    units = _work_units(c, work)
+    units = _work_units(c, work, jobs)
     if jobs > 1 and len(units) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -534,33 +559,53 @@ def analyze_sites(
     return {name: found[name] for name in (c.net_names[s.site_net] for s in work)}
 
 
-def _work_units(c: Circuit, sites: list[FaultSite]) -> list[tuple[Region, list[FaultSite]]]:
-    """Each region built once; the sites of a simulated region as one unit,
-    so that its sweep is built once, and every SAT-answered site as a unit
-    of its own."""
+# A unit of work: the region its sites' good circuit is swept over (None
+# for a SAT-answered site), and each site with its own region.
+WorkUnit = tuple[Region | None, list[tuple[Region, FaultSite]]]
+
+
+def _work_units(c: Circuit, sites: list[FaultSite], jobs: int = 1) -> list[WorkUnit]:
+    """Each region built once; the sites of all simulated regions with one
+    support as one unit, so that the good circuit is swept once per
+    support, and every SAT-answered site as a unit of its own.
+
+    With jobs > 1 each support's sites, region by region, are cut into at
+    most `jobs` runs of consecutive sites, so that the pool has work to
+    spread; each run sweeps only its own regions' gates.
+    """
     groups: dict[tuple[int, ...], list[FaultSite]] = {}
     for s in sites:
         groups.setdefault(s.static_ffs, []).append(s)
-    units = []
+    by_support: dict[tuple[int, ...], list[tuple[Region, FaultSite]]] = {}
+    sat_units: list[WorkUnit] = []
     for group in groups.values():
         region = build_region(c, group[0])
         if region.simulated:
-            units.append((region, group))
+            by_support.setdefault(region.support, []).extend((region, s) for s in group)
         else:
-            units.extend((region, [s]) for s in group)
-    return units
+            sat_units.extend((None, [(region, s)]) for s in group)
+    topo_pos = {gid: i for i, gid in enumerate(c.topo_gates)}
+    sim_units: list[WorkUnit] = []
+    for support, members in by_support.items():
+        size = -(-len(members) // jobs)
+        for i in range(0, len(members), size):
+            run = members[i : i + size]
+            # the region of all the run's flip-flops: its regions' gates, same support
+            regions = {r.static_ffs: r for r, _ in run}.values()
+            gates = sorted({g for r in regions for g in r.gates}, key=topo_pos.__getitem__)
+            ffs = sorted({f for r in regions for f in r.static_ffs})
+            sim_units.append((Region(tuple(ffs), support, tuple(gates)), run))
+    return sim_units + sat_units
 
 
 def _analyze_unit(
-    c: Circuit,
-    unit: tuple[Region, list[FaultSite]],
-    cap: int,
-    conflict_limit: int | None,
+    c: Circuit, unit: WorkUnit, cap: int, conflict_limit: int | None
 ) -> list[PatternResult]:
-    """Results for sites that share one region, in the order given."""
-    region, sites = unit
-    sweep = _sweep(c, region) if region.simulated else None
-    return [enumerate_patterns(c, s, cap, conflict_limit, region, sweep) for s in sites]
+    """Results for the unit's sites, in the order given; a simulated unit's
+    good circuit is swept once, and every site reads that one sweep."""
+    swept, members = unit
+    sweep = None if swept is None else _sweep(c, swept)
+    return [enumerate_patterns(c, s, cap, conflict_limit, r, sweep) for r, s in members]
 
 
 def optimize_sets(static: SetCollection, results: dict[str, PatternResult]) -> SetCollection:

@@ -231,6 +231,22 @@ def _string_name_list(a, b):
     return expected
 
 
+def _numeric_ff_names(a, b):
+    """Every flip-flop name, in both files, replaced by a number."""
+    out = _short_names_run(a.parent, "numeric")
+    number = {"a": 1, "b": 2}
+    sets, patterns = read_json(out / "sets.json"), read_json(out / "patterns.json")
+    for data in (sets, patterns):
+        data["ffs"] = [number[n] for n in data["ffs"]]
+    for row in sets["raw"]:
+        row["members"] = [number[n] for n in row["members"]]
+    for row in patterns["sites"]:
+        row["patterns"] = [[number[n] for n in p] for p in row["patterns"]]
+    (out / "sets.json").write_text(json.dumps(sets))
+    (out / "patterns.json").write_text(json.dumps(patterns))
+    return {out: ["sets.json", "'ffs'", "not a string"]}
+
+
 def _repeated_site(a, b):
     """A second row for site g1, with no patterns, in both files."""
     out = _short_names_run(a.parent, "short")
@@ -257,6 +273,7 @@ def _repeated_site(a, b):
         _repeated_ff_name,
         _string_name_list,
         _repeated_site,
+        _numeric_ff_names,
     ],
     ids=[
         "swapped",
@@ -270,6 +287,7 @@ def _repeated_site(a, b):
         "repeated_ff_name",
         "string_name_list",
         "repeated_site",
+        "numeric_ff_names",
     ],
 )
 def test_report_rejects_mismatched_artifacts(tmp_path, corrupt):

@@ -11,6 +11,7 @@ from set2seu.propagation import (
     DifferencePattern,
     PatternResult,
     _blocking_cube,
+    _difference_masks,
     _eval_gate_masked,
     _flip_masks,
     _neighbourhood_diffs,
@@ -310,9 +311,10 @@ def test_parallel_jobs_match_serial(divergent3):
     assert serial == parallel
 
 
-def test_worker_pool_is_capped_at_the_work_units(divergent3, monkeypatch):
-    """A large `jobs` asks for no more workers than there are units of work;
-    the stand-in pool runs them in this process."""
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """A stand-in for the worker pool that runs the units in this process;
+    the list of the worker counts it is asked for."""
     import concurrent.futures
 
     asked = []
@@ -330,12 +332,17 @@ def test_worker_pool_is_capped_at_the_work_units(divergent3, monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    sites = enumerate_fault_sites(divergent3)
-    units = _work_units(divergent3, [s for s in sites if s.static_ffs])
-    assert len(units) > 1
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    return asked
+
+
+def test_worker_pool_is_capped_at_the_work_units(divergent3, in_process_pool):
+    """A large `jobs` asks for no more workers than there are units of work."""
+    sites = enumerate_fault_sites(divergent3)
+    units = _work_units(divergent3, [s for s in sites if s.static_ffs], 5000)
+    assert len(units) > 1
     assert analyze_sites(divergent3, sites, jobs=5000) == analyze_sites(divergent3, sites, jobs=1)
-    assert asked == [len(units)]
+    assert in_process_pool == [len(units)]
 
 
 # -- hybrid engine: simulation for small regions, SAT for the rest ----------------
@@ -378,21 +385,121 @@ def test_hybrid_matches_sat_across_support_limit(seed):
     assert parallel == hybrid
 
 
-def test_work_units_keep_simulated_regions_whole_and_split_sat_sites():
-    # seed 1 has simulated regions of up to 3 sites and a SAT region of 2
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_work_units_hold_one_support_each_and_split_sat_sites(jobs):
+    """A simulated unit holds every site of one support, or one of at most
+    `jobs` runs of them, and sweeps the union of its sites' regions; every
+    SAT-answered site is a unit of its own."""
+    # seed 1 has supports shared by several regions and a SAT region of 2 sites
     c = make_random_circuit(1, n_pis=6, n_ffs=24, n_gates=90, n_pos=2)
     work = [s for s in enumerate_fault_sites(c) if s.static_ffs]
-    units = [group for _, group in _work_units(c, work)]
-    assert sorted(s.site_net for u in units for s in u) == sorted(s.site_net for s in work)
+    units = _work_units(c, work, jobs)
+    assert sorted(s.site_net for _, u in units for _, s in u) == sorted(s.site_net for s in work)
+    runs: dict[tuple[int, ...], list[list[int]]] = {}
     sat_regions = []
-    for u in units:
-        if len(site_support(c, u[0])) <= SIM_SUPPORT_LIMIT:
-            assert u == [s for s in work if s.static_ffs == u[0].static_ffs]
-        else:
-            assert len(u) == 1
-            sat_regions.append(u[0].static_ffs)
-    assert max(len(u) for u in units) > 1
+    for swept, u in units:
+        assert all(region == build_region(c, s) for region, s in u)
+        if swept is None:
+            assert len(u) == 1 and not u[0][0].simulated
+            sat_regions.append(u[0][1].static_ffs)
+            continue
+        assert {region.support for region, _ in u} == {swept.support}
+        gates = {g for region, _ in u for g in region.gates}
+        assert swept.gates == tuple(g for g in c.topo_gates if g in gates)
+        runs.setdefault(swept.support, []).append([s.site_net for _, s in u])
+    for support, cut in runs.items():
+        mine = [s.site_net for s in work if site_support(c, s) == support]
+        assert len(cut) <= jobs
+        assert sorted(n for run in cut for n in run) == sorted(mine)
+    shared = [u for swept, u in units if swept and len({r for r, _ in u}) > 1]
+    assert shared
+    if jobs == 1:
+        assert all(len(cut) == 1 for cut in runs.values())
+    else:
+        assert any(len(cut) > 1 for cut in runs.values())
     assert len(set(sat_regions)) < len(sat_regions)
+
+
+def local50():
+    """The circuit of the local50 benchmark fixture."""
+    return make_random_circuit(4242, n_pis=10, n_ffs=50, n_gates=500, n_pos=10, locality=25)
+
+
+SHARED_SWEEP_CIRCUITS = [
+    pytest.param(lambda: corpus(12345, 200, max_gates=40, max_ffs=8, max_pis=6), id="corpus"),
+    pytest.param(lambda: [local50()], id="local50"),
+]
+
+
+@pytest.mark.parametrize("circuits", SHARED_SWEEP_CIRCUITS)
+def test_support_sweep_matches_each_region_sweep(circuits):
+    """The one sweep of a unit gives every net of each of its regions the
+    value that the region's own sweep gives it."""
+    shared = 0
+    for c in circuits():
+        units = _work_units(c, [s for s in enumerate_fault_sites(c) if s.static_ffs])
+        for swept, members in units:
+            if swept is None:
+                continue
+            sweep = _sweep(c, swept)
+            regions = dict.fromkeys(r for r, _ in members)
+            shared += len(regions) > 1
+            for region in regions:
+                own = _sweep(c, region)
+                assert own.support == sweep.support
+                assert all(sweep.values[n] == v for n, v in own.values.items())
+    assert shared > 0
+
+
+@pytest.mark.parametrize("circuits", SHARED_SWEEP_CIRCUITS)
+def test_event_driven_difference_masks_match_full_resimulation(circuits):
+    """Skipping fan-out gates with no differing input, and dropping faulty
+    values equal to the good ones, changes no difference mask."""
+    skipped = 0
+    for c in circuits():
+        for site in enumerate_fault_sites(c):
+            if not site.static_ffs:
+                continue
+            m = build_miter(c, site)
+            if not m.region.simulated:
+                continue
+            good = _sweep(c, m.region).values
+            full = (1 << (1 << len(m.region.support))) - 1
+            faulty = dict(good)
+            faulty[site.site_net] ^= full
+            for gid in m.dup_gates:
+                g = c.gates[gid]
+                faulty[g.output] = _eval_gate_masked(g.kind, [faulty[n] for n in g.inputs], full)
+                skipped += faulty[g.output] == good[g.output]
+            want = [good[d] ^ faulty[d] for d in (c.flipflops[f].d_net for f in site.static_ffs)]
+            got = _difference_masks(c, m, good, full)
+            wrong = [c.flipflops[f].name for f, g, w in zip(site.static_ffs, got, want) if g != w]
+            assert not wrong, (c.net_names[site.site_net], wrong)
+    assert skipped > 0
+
+
+def test_jobs_give_the_same_results_in_the_same_order_on_corpus(in_process_pool):
+    """The `--jobs` cut of each support's sites changes no result, no result
+    order and no pattern order."""
+    cut = 0
+    for c in corpus(12345, 200, max_gates=40, max_ffs=8, max_pis=6):
+        sites = enumerate_fault_sites(c)
+        work = [s for s in sites if s.static_ffs]
+        serial = analyze_sites(c, sites, jobs=1)
+        for jobs in (2, 3):
+            cut += len(_work_units(c, work, jobs)) > len(_work_units(c, work))
+            parallel = analyze_sites(c, sites, jobs=jobs)
+            assert list(parallel.items()) == list(serial.items())
+    assert cut > 100
+
+
+def test_jobs_give_the_same_results_in_the_same_order_on_local50():
+    c = local50()
+    sites = enumerate_fault_sites(c)
+    serial = analyze_sites(c, sites, jobs=1)
+    parallel = analyze_sites(c, sites, jobs=2)
+    assert list(parallel.items()) == list(serial.items())
+    assert [r.engine for r in parallel.values()] == ["sim"] * len(serial)
 
 
 @pytest.mark.parametrize(
@@ -589,15 +696,23 @@ def test_flip_masks_cover_the_hamming_ball_once(k, radius):
     assert flipped == want
 
 
-@pytest.mark.parametrize("call", ["sim", "sat", "build_miter", "export_site_cnf"])
+@pytest.mark.parametrize(
+    "call", ["sim", "sat", "build_miter", "export_site_cnf", "sweep_of_another_support"]
+)
 def test_sweep_of_another_region_rejected(divergent3, call):
-    """Every reader of a region refuses the region of another flip-flop set."""
+    """Every reader of a region refuses the region of another flip-flop set,
+    and the simulation engine a sweep of another support."""
     sites = sites_by_name(divergent3)
     region = build_region(divergent3, sites["c"])
     x = sites["x"]
     sweep = _sweep(divergent3, region) if call == "sim" else None
     with pytest.raises(ValueError):
-        if call == "build_miter":
+        if call == "sweep_of_another_support":
+            # x's sweep (support x, c) holds every net of xb's region (support x)
+            xb = sites["xb"]
+            wide = _sweep(divergent3, build_region(divergent3, x))
+            enumerate_patterns(divergent3, xb, region=build_region(divergent3, xb), sweep=wide)
+        elif call == "build_miter":
             build_miter(divergent3, x, region)
         elif call == "export_site_cnf":
             export_site_cnf(divergent3, x, region)
