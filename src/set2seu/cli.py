@@ -183,9 +183,8 @@ def sets_json(c: netlist.Circuit, static: ffsets.SetCollection) -> dict:
         {"cone": f.name, "members": per_cone.member_names(s), "multiplicity": s.multiplicity}
         for f, (_, s) in zip(c.flipflops, per_cone.raw_sets)
     ]
-    set_rows = ffsets.collection_to_json(static)
-    # one member-name list per unique set, shared by its raw rows
-    members = {s: row["members"] for s, row in zip(static.unique_sets, set_rows)}
+    # each raw row points at its set's row in "sets", so a set's names are written once
+    index = {s: i for i, s in enumerate(static.unique_sets)}
     return {
         "circuit": asdict(c.stats()),
         "ffs": [f.name for f in c.flipflops],
@@ -193,8 +192,8 @@ def sets_json(c: netlist.Circuit, static: ffsets.SetCollection) -> dict:
         "num_sets": static.num_sets,
         "num_superset": static.num_unique,
         "max_multiplicity": static.max_multiplicity,
-        "sets": set_rows,
-        "raw": [{"site": ref, "members": members[s]} for ref, s in static.raw_sets],
+        "sets": ffsets.collection_to_json(static),
+        "raw": [{"site": ref, "set": index[s]} for ref, s in static.raw_sets],
     }
 
 
@@ -254,6 +253,43 @@ def _reading(path: Path):
         raise ValueError(f"{path}: missing key {e}") from None
     except (TypeError, json.JSONDecodeError) as e:
         raise ValueError(f"{path}: malformed: {e}") from None
+
+
+def static_from_json(data: dict, path: Path) -> ffsets.SetCollection:
+    """Inverse of sets_json's "raw" rows: each site with the set its index
+    points at.  Each set's names are read once, and its "sites" must be the
+    raw rows that point at it, in order."""
+    ff_names = tuple(_json_list(data["ffs"], path, "'ffs'"))
+    if not all(isinstance(n, str) for n in ff_names):
+        raise ValueError(f"{path}: 'ffs' holds a flip-flop name that is not a string")
+    _check_unique(ff_names, path, "flip-flop")
+    idx = {n: i for i, n in enumerate(ff_names)}
+    set_rows = _json_list(data["sets"], path, "'sets'")
+    parsed: dict[int, ffsets.FFSet] = {}
+    sites_of: dict[int, list] = {}
+    raw = []
+    for row in _json_list(data["raw"], path, "'raw'"):
+        site = row["site"]
+        if "set" not in row and "members" in row:
+            raise ValueError(
+                f"{path}: raw row of site '{site}' lists members instead of a set index, "
+                "the layout of older versions; write it again with `set2seu sets`"
+            )
+        k = row["set"]
+        if type(k) is not int or not 0 <= k < len(set_rows):
+            raise ValueError(
+                f"{path}: site '{site}' points at set {json.dumps(k)}, not an index into 'sets'"
+            )
+        if k not in parsed:
+            parsed[k] = _read_ffset(idx, set_rows[k]["members"], path, site)
+            sites_of[k] = []
+        sites_of[k].append(site)
+        raw.append((site, parsed[k]))
+    _check_unique((ref for ref, _ in raw), path, "site")
+    for k, row in enumerate(set_rows):
+        if row["sites"] != sites_of.get(k):
+            raise ValueError(f"{path}: the sites of set {k} are not the raw rows that point at it")
+    return ffsets.SetCollection(ff_names, tuple(raw))
 
 
 # (complete, overflow, unknown) as enumerate_patterns sets them: proved
@@ -433,23 +469,11 @@ def report_from_artifacts(cfg: RunConfig) -> int:
         return EXIT_MISSING_STAGE
     with _reading(sets_path):
         sets_data = json.loads(sets_path.read_text())
-        ff_names = tuple(_json_list(sets_data["ffs"], sets_path, "'ffs'"))
-        if not all(isinstance(n, str) for n in ff_names):
-            raise ValueError(f"{sets_path}: 'ffs' holds a flip-flop name that is not a string")
-        _check_unique(ff_names, sets_path, "flip-flop")
-        idx = {n: i for i, n in enumerate(ff_names)}
-        static = ffsets.SetCollection(
-            ff_names,
-            tuple(
-                (row["site"], _read_ffset(idx, row["members"], sets_path, row["site"]))
-                for row in sets_data["raw"]
-            ),
-        )
-        _check_unique((ref for ref, _ in static.raw_sets), sets_path, "site")
+        static = static_from_json(sets_data, sets_path)
         c_stats = sets_data["circuit"]
     with _reading(patterns_path):
         pat_data = json.loads(patterns_path.read_text())
-        if tuple(_json_list(pat_data["ffs"], patterns_path, "'ffs'")) != ff_names:
+        if tuple(_json_list(pat_data["ffs"], patterns_path, "'ffs'")) != static.ff_names:
             raise ValueError(f"{patterns_path} and {sets_path} list different flip-flops")
         if [r["site"] for r in pat_data["sites"]] != [ref for ref, _ in static.raw_sets]:
             raise ValueError(f"{patterns_path} and {sets_path} list different fault sites")

@@ -30,6 +30,12 @@ GATE_KINDS: dict[str, tuple[str, bool]] = {
     "BUFF": ("BUFF", False),
 }
 
+# a net or flip-flop name as `.bench` can write it: nonempty, without
+# whitespace, '(', ')', ',', '=' or '#' (which starts a comment)
+_NAME = r"[^\s(),=#]+"
+_NAME_RE = re.compile(_NAME)
+_NOT_BENCH = "cannot be written in .bench (empty, or holds whitespace, '(', ')', ',', '=' or '#')"
+
 
 class NetlistError(ValueError):
     """Raised for malformed or semantically invalid netlists.
@@ -228,6 +234,9 @@ def build_circuit(
     ids = {n: i for i, n in enumerate(names)}
     if len(ids) != len(names):
         raise NetlistError("duplicate net names")
+    for n, nm in enumerate(names):
+        if not _NAME_RE.fullmatch(nm):
+            raise NetlistError(f"net name {nm!r} {_NOT_BENCH}", where(n))
 
     gate_rows = [(k, tuple(ins), out) for k, ins, out in gates]
     ff_rows = list(flipflops)
@@ -253,6 +262,8 @@ def build_circuit(
     ff_names = [names[q] if nm is None else nm for nm, _, q in ff_rows]
     seen_ffs: set[str] = set()
     for name, (_, d, q) in zip(ff_names, ff_rows):
+        if not _NAME_RE.fullmatch(name):
+            raise NetlistError(f"flip-flop name {name!r} {_NOT_BENCH}", where(q))
         if d == q:
             raise NetlistError(
                 f"flip-flop '{name}' feeds its own output net back as data input", where(q)
@@ -300,8 +311,8 @@ def build_circuit(
 
 # -- .bench parsing ------------------------------------------------------
 
-_DECL_RE = re.compile(r"^(INPUT|OUTPUT)\s*\(\s*([^\s(),=]+)\s*\)$")
-_ASSIGN_RE = re.compile(r"^([^\s(),=]+)\s*=\s*([A-Za-z]+)\s*\(\s*([^()]*)\s*\)$")
+_DECL_RE = re.compile(rf"^(INPUT|OUTPUT)\s*\(\s*({_NAME})\s*\)$")
+_ASSIGN_RE = re.compile(rf"^({_NAME})\s*=\s*([A-Za-z]+)\s*\(\s*([^()]*)\s*\)$")
 
 
 def parse_bench(text: str, exclude: Iterable[str] = ()) -> Circuit:

@@ -1,5 +1,6 @@
 import json
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -48,6 +49,18 @@ def test_cone_chain_sets_json_matches_cone_table(tmp_path):
         {"cone": "C", "members": ["B", "C", "D"], "multiplicity": 3},
         {"cone": "D", "members": ["C", "D"], "multiplicity": 2},
     ]
+
+
+@pytest.mark.parametrize("fixture", sorted(p.stem for p in DATA.glob("*.bench")))
+def test_sets_json_raw_rows_point_at_their_set(tmp_path, fixture):
+    out = tmp_path / "out"
+    assert run_cli(["sets", "--input", DATA / f"{fixture}.bench", "--out", out]) == EXIT_OK
+    data = read_json(out / "sets.json")
+    assert data["raw"] and all(set(row) == {"site", "set"} for row in data["raw"])
+    for row in data["raw"]:
+        assert row["site"] in data["sets"][row["set"]]["sites"]
+    for k, s in enumerate(data["sets"]):
+        assert s["sites"] == [row["site"] for row in data["raw"] if row["set"] == k]
 
 
 def test_two_runs_are_byte_stable(tmp_path):
@@ -111,7 +124,7 @@ def _unknown_raw_ff(a, b):
     path = b / "sets.json"
     data = read_json(path)
     row = data["raw"][0]
-    row["members"] = ["nosuchff"]
+    data["sets"][row["set"]]["members"] = ["nosuchff"]
     path.write_text(json.dumps(data))
     return {b: ["sets.json", f"'{row['site']}'", "nosuchff"]}
 
@@ -129,7 +142,7 @@ def _empty_raw(a, b):
     path = b / "sets.json"
     data = read_json(path)
     row = data["raw"][0]
-    row["members"] = []
+    data["sets"][row["set"]]["members"] = []
     path.write_text(json.dumps(data))
     return {b: ["sets.json", f"'{row['site']}'", "empty"]}
 
@@ -210,7 +223,7 @@ def _string_name_list(a, b):
         data["ffs"] = "".join(data["ffs"])
 
     def raw_members(data):
-        for row in data["raw"]:
+        for row in data["sets"]:
             row["members"] = "".join(row["members"])
 
     def site_patterns(data):
@@ -238,7 +251,7 @@ def _numeric_ff_names(a, b):
     sets, patterns = read_json(out / "sets.json"), read_json(out / "patterns.json")
     for data in (sets, patterns):
         data["ffs"] = [number[n] for n in data["ffs"]]
-    for row in sets["raw"]:
+    for row in sets["sets"]:
         row["members"] = [number[n] for n in row["members"]]
     for row in patterns["sites"]:
         row["patterns"] = [[number[n] for n in p] for p in row["patterns"]]
@@ -259,6 +272,56 @@ def _repeated_site(a, b):
     return {out: ["sets.json", "'g1'", "listed twice"]}
 
 
+def _edited_sets(src, name, edit):
+    """A copy of run directory `src`, named `name`, whose sets.json `edit` changed."""
+    out = src.parent / name
+    shutil.copytree(src, out)
+    data = read_json(out / "sets.json")
+    edit(data)
+    (out / "sets.json").write_text(json.dumps(data))
+    return out
+
+
+def _old_sets_layout(a, b):
+    """Each raw row repeats its set's members instead of pointing at it."""
+
+    def old(data):
+        for row in data["raw"]:
+            row["members"] = data["sets"][row.pop("set")]["members"]
+
+    site = read_json(b / "sets.json")["raw"][0]["site"]
+    out = _edited_sets(b, "old_layout", old)
+    return {out: ["sets.json", f"'{site}'", "members instead of a set index"]}
+
+
+def _bad_set_index(a, b):
+    """The first raw row's set index replaced by a value that is not one, a run each."""
+    data = read_json(b / "sets.json")
+    site = data["raw"][0]["site"]
+    expected = {}
+    for i, k in enumerate([True, -1, "0", len(data["sets"])]):
+        out = _edited_sets(b, f"index{i}", lambda d: d["raw"][0].update(set=k))
+        expected[out] = ["sets.json", f"'{site}'", json.dumps(k), "not an index into 'sets'"]
+    return expected
+
+
+def _set_sites_mismatch(a, b):
+    """A set's `sites` that differ from the raw rows that point at it: one
+    site dropped from its set, or one raw row pointing at another set."""
+
+    def dropped(data):
+        data["sets"][data["raw"][0]["set"]]["sites"].pop()
+
+    def moved(data):
+        row = data["raw"][0]
+        row["set"] = (row["set"] + 1) % len(data["sets"])
+
+    return {
+        _edited_sets(b, name, edit): ["sets.json", "sites of set", "raw rows that point at it"]
+        for name, edit in (("dropped", dropped), ("moved", moved))
+    }
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -274,6 +337,9 @@ def _repeated_site(a, b):
         _string_name_list,
         _repeated_site,
         _numeric_ff_names,
+        _old_sets_layout,
+        _bad_set_index,
+        _set_sites_mismatch,
     ],
     ids=[
         "swapped",
@@ -288,6 +354,9 @@ def _repeated_site(a, b):
         "string_name_list",
         "repeated_site",
         "numeric_ff_names",
+        "old_sets_layout",
+        "bad_set_index",
+        "set_sites_mismatch",
     ],
 )
 def test_report_rejects_mismatched_artifacts(tmp_path, corrupt):
@@ -382,6 +451,25 @@ def test_json_duplicate_ff_name_exit_2(tmp_path, capsys):
     assert run_cli(["run", "--input", bad, "--out", tmp_path / "o"]) == EXIT_PARSE
     assert "netlist error: duplicate flip-flop name 'f'" in capsys.readouterr().err
     assert not (tmp_path / "o" / "report.json").exists()
+
+
+def test_json_ff_name_with_comma_and_space_exit_2(tmp_path, capsys):
+    # sets.csv would read the row "q,x y,1,g" as two flip-flops, q,x and y
+    bad = tmp_path / "comma.json"
+    bad.write_text(
+        json.dumps(
+            {
+                "nets": [{"id": i, "name": n} for i, n in enumerate(["a", "b", "g", "q"])],
+                "gates": [{"id": 0, "kind": "AND", "inputs": [0, 1], "output": 2}],
+                "ffs": [{"id": 0, "name": "q,x y", "d": 2, "q": 3}],
+                "inputs": [0, 1],
+                "outputs": [3],
+            }
+        )
+    )
+    assert run_cli(["run", "--input", bad, "--out", tmp_path / "o"]) == EXIT_PARSE
+    assert "netlist error: flip-flop name 'q,x y' cannot be written" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "sets.csv").exists()
 
 
 def test_missing_input_exit_3(tmp_path):

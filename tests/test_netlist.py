@@ -165,6 +165,18 @@ def test_json_validation_errors(data, fragment):
     assert fragment in str(ei.value)
 
 
+@pytest.mark.parametrize("name", ["", "a b", "a\tb", "a(", "a)", "a,b", "a=b", "a#b"])
+def test_json_names_that_bench_cannot_write_are_rejected(name):
+    nets = [{"id": i, "name": n} for i, n in enumerate([name, "b", "g", "f"])]
+    with pytest.raises(NetlistError) as ei:
+        circuit_from_json(_json_circuit(nets=nets))
+    assert f"net name {name!r} cannot be written in .bench" in str(ei.value)
+    ffs = [{"id": 0, "name": name, "d": 2, "q": 3}]
+    with pytest.raises(NetlistError) as ei:
+        circuit_from_json(_json_circuit(ffs=ffs))
+    assert f"flip-flop name {name!r} cannot be written in .bench" in str(ei.value)
+
+
 def test_duplicate_output_collapsed_in_both_formats():
     c = parse_bench(SMALLEST + "\nOUTPUT(f)")
     data = _json_circuit(outputs=[c.net_id("f")] * 2)
