@@ -318,6 +318,11 @@ def patterns_from_json(
         reach = set(static_of[site].members)
         lists = _json_list(row["patterns"], path, f"'patterns' of site '{site}'")
         patterns = tuple(_read_ffset(idx, p, path, site) for p in lists)
+        _check_unique(
+            (", ".join(static.ff_names[f] for f in p.members) for p in patterns),
+            path,
+            f"site '{site}' pattern",
+        )
         for p in patterns:
             outside = set(p.members) - reach
             if outside:

@@ -123,7 +123,7 @@ def exhaustive_patterns(
     site_name = c.net_names[site.site_net]
     return [
         DifferencePattern(site_name, FFSet(members))
-        for members in _distinct_patterns(diffs, site.static_ffs, full)
+        for members, _ in _distinct_patterns(diffs, site.static_ffs, full)
     ]
 
 

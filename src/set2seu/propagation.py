@@ -18,25 +18,29 @@ support assignment, and differ only in which assignments they simulate:
   of those regions' gates, for all their sites.
 - SAT otherwise.  The miter is Tseitin-encoded, with difference variables
   that compare the good and faulty values at each reachable flip-flop's D
-  pin.  Each model the solver finds seeds a simulation of its support
-  assignment and of every assignment within HARVEST_RADIUS flips of it
-  (after Larrabee's fault simulation of SAT-generated test vectors, IEEE
-  TCAD 1992).  Each difference vector found there that is not yet listed
-  is blocked.  Blocking is by cubes: a new vector is widened, one
-  flip-flop at a time, to a subcube of vectors that are all listed
-  already, and one clause over the difference variables of the cube's
-  fixed flip-flops blocks the whole cube (cube enlargement as in McMillan,
-  "Applying SAT methods in unbounded symbolic model checking", CAV 2002,
-  here only over listed vectors).  Every listed vector thus comes from a
-  concrete assignment, no unlisted vector is ever blocked, and the loop
-  ends only when the solver proves that no unblocked vector is left.
+  pin.  Each model the solver finds seeds a flood of simulation (after
+  Larrabee's fault simulation of SAT-generated test vectors, IEEE TCAD
+  1992).  One wave of the flood simulates, in one batch, every assignment
+  within HARVEST_RADIUS flips of each of its seeds; the lowest assignment
+  that gives each difference vector the wave lists (its witness) seeds
+  the next wave, and the flood ends with a wave that lists nothing new.
+  Only then are the flood's vectors blocked and the solver called again,
+  so it is asked only where simulation stops finding patterns.  Blocking
+  is by cubes: a new vector is widened, one flip-flop at a time, to a
+  subcube of vectors that are all listed already, and one clause over
+  the difference variables of the cube's fixed flip-flops blocks the
+  whole cube (cube enlargement as in McMillan, "Applying SAT methods in
+  unbounded symbolic model checking", CAV 2002, here only over listed
+  vectors).  Every listed vector thus comes from a concrete assignment,
+  no unlisted vector is ever blocked, and the loop ends only when the
+  solver proves that no unblocked vector is left.
 
 Both engines re-simulate only the site's faulty fan-out, and event-driven:
 a fan-out gate none of whose inputs differs from the good circuit is
 skipped, and a faulty value equal to the good one is dropped, so a
 difference stops where it dies (as in concurrent fault simulation, Ulrich
 and Baker, IEEE Computer 1974).  One listing step serves both: each
-simulated batch (the sweep, or one model's neighbourhood) is split into
+simulated batch (the sweep, or one flood wave) is split into
 classes of equal difference vectors at the flip-flops, and the vectors not
 listed yet are added.  Both give the same patterns; the sweep's cost grows
 as 2**k times the swept gates, so it is only used where that is small.
@@ -63,14 +67,15 @@ DEFAULT_CONFLICT_CAP = 10**6
 # support 16-20 costs 0.3-5 ms to sweep and simulate, against 1-2.6 ms for
 # SAT to answer its sites.
 SIM_SUPPORT_LIMIT = 16
-# Hamming radius of the neighbourhood simulated around each SAT model; the
-# neighbourhood has 1 + k + ... + C(k, radius) assignments for support k.
-# Measured with cube blocking on wide50's largest site (support 52, 15
-# flip-flops, 3,047 patterns, same machine, best of 3): radius 0 takes 3,048
-# solve calls and 4.0 s, radius 1 665 calls and 0.95 s, radius 2 134 calls
-# and 0.55 s, radius 3 58 calls and 0.47 s, but radius 3 simulates 23,479
-# assignments per model at support 52 and grows as k**3.
-HARVEST_RADIUS = 2
+# Hamming radius of the ball simulated around each seed of a flood wave; the
+# ball has 1 + k + ... + C(k, radius) assignments for support k, and radius
+# 0 lists one pattern per solve call.  Measured with the flood and cube
+# blocking on wide50's largest site (support 52, 15 flip-flops, 3,047
+# patterns, same machine, best of 3): radius 0 takes 3,048 solve calls and
+# 5.1 s, radius 1 11 calls and 0.19 s, radius 2 5 calls and 1.8 s, radius 3
+# 2 calls and 45 s (one run).  Every new pattern seeds a ball, so a wider
+# ball mostly re-simulates patterns the flood has already listed.
+HARVEST_RADIUS = 1
 
 
 @dataclass(frozen=True)
@@ -291,22 +296,25 @@ def _var_mask(v: int, k: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _flip_masks(k: int, radius: int) -> tuple[int, tuple[int, ...]]:
-    """All assignments within `radius` flips of a base assignment of k
-    variables, one bit each: the mask of all those bits, and per variable
-    the bits whose assignment flips it.
+def _flip_masks(k: int, radius: int) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
+    """The assignments within `radius` flips of a base assignment of k
+    variables, one bit each, laid out for one block of bits per base: the
+    mask of a block's used bits, the block's width, per variable the bits
+    whose assignment flips it, and per bit the variables it flips (bit j
+    for variable j).
 
     Bit 0 flips nothing; the next bits flip each set of 1..radius variables
-    once, in `combinations` order.
+    once, in `combinations` order.  A block is at least k bits wide, so
+    that it can also hold its base assignment (see `_neighbourhood_diffs`).
     """
     flips = [0] * k
-    bit = 0
+    offsets = []
     for r in range(radius + 1):
         for chosen in combinations(range(k), r):
             for j in chosen:
-                flips[j] |= 1 << bit
-            bit += 1
-    return (1 << bit) - 1, tuple(flips)
+                flips[j] |= 1 << len(offsets)
+            offsets.append(sum(1 << j for j in chosen))
+    return (1 << len(offsets)) - 1, max(len(offsets), k), tuple(flips), tuple(offsets)
 
 
 # Per gate kind, the bitwise operator of its base function and whether it
@@ -326,8 +334,9 @@ def _eval_gate_masked(kind: str, ins: list[int], full: int) -> int:
 
 def _distinct_patterns(
     diffs: list[int], ff_ids: tuple[int, ...], full: int, limit: int | None = None
-) -> list[tuple[int, ...]]:
-    """Distinct nonempty difference vectors, canonically sorted.
+) -> list[tuple[tuple[int, ...], int]]:
+    """Distinct nonempty difference vectors, canonically sorted, each with
+    the lowest assignment (bit of `full`) that gives it.
 
     Partitions the assignments (the bits of `full`) by FF: each class is
     split into the assignments where FF j differs (`hit`) and the rest.  The
@@ -342,14 +351,14 @@ def _distinct_patterns(
         mask, j, members = stack.pop()
         if j == len(ff_ids):
             if members:
-                out.append(members)
+                out.append((members, (mask & -mask).bit_length() - 1))
             continue
         hit = mask & diffs[j]
         if hit != mask:
             stack.append((mask ^ hit, j + 1, members))
         if hit:
             stack.append((hit, j + 1, members + (ff_ids[j],)))
-    out.sort(key=lambda m: (len(m), m))
+    out.sort(key=lambda mb: (len(mb[0]), mb[0]))
     return out
 
 
@@ -394,19 +403,39 @@ def _difference_masks(c: Circuit, m: MiterInstance, good: dict[int, int], full: 
     return [good[d] ^ faulty.get(d, good[d]) for d in d_nets]
 
 
-def _neighbourhood_diffs(c: Circuit, m: MiterInstance, base: list[bool]) -> tuple[list[int], int]:
+def _neighbourhood_diffs(c: Circuit, m: MiterInstance, seeds: list[int]) -> tuple[list[int], int]:
     """`_difference_masks` of the miter's site over the assignments within
-    HARVEST_RADIUS flips of `base` (one value per support net), one bit
-    each with `base` itself at bit 0, and the mask of those bits."""
-    full, flips = _flip_masks(len(m.region.support), HARVEST_RADIUS)
-    good = _good_values(c, m.region, [(full if b else 0) ^ fl for b, fl in zip(base, flips)], full)
+    HARVEST_RADIUS flips of each seed, and the mask of their bits.
+
+    A seed is a support assignment, bit j the value of the j-th support
+    net.  Seed s has the s-th block of bits (see `_flip_masks`), its own
+    assignment at the block's bit 0; `_ball_assignment` recovers the
+    assignment of any bit.  Packing each seed into the low bits of its block
+    gives, by one shift and mask per support net, the blocks whose seed
+    sets that net.
+    """
+    k = len(m.region.support)
+    ball, width, flips, _ = _flip_masks(k, HARVEST_RADIUS)
+    rep = ((1 << width * len(seeds)) - 1) // ((1 << width) - 1)   # bit 0 of every block
+    packed = int("".join(format(seed, f"0{width}b") for seed in reversed(seeds)), 2)
+    full = ball * rep
+    inputs = [ball * (packed >> j & rep) ^ fl * rep for j, fl in enumerate(flips)]
+    good = _good_values(c, m.region, inputs, full)
     return _difference_masks(c, m, good, full), full
 
 
-def _blocking_cube(v: int, listed: Container[int], k: int) -> tuple[int, int]:
+def _ball_assignment(seeds: list[int], bit: int, k: int) -> int:
+    """The support assignment that bit `bit` of `_neighbourhood_diffs(c, m,
+    seeds)` simulates, for a support of k nets."""
+    _, width, _, offsets = _flip_masks(k, HARVEST_RADIUS)
+    s, b = divmod(bit, width)
+    return seeds[s] ^ offsets[b]
+
+
+def _blocking_cube(v: int, listed: Container[int], k: int) -> tuple[int, int, list[int]]:
     """A subcube of `listed` that holds `v`, as (base, free) bitmasks over k
-    positions: the cube is every vector that agrees with `base` outside
-    `free`.
+    positions, and its vectors: the cube is every vector that agrees with
+    `base` outside `free`.
 
     Positions are freed greedily in order 0..k-1; position j is freed only
     when flipping bit j of every vector of the cube so far gives a listed
@@ -421,7 +450,7 @@ def _blocking_cube(v: int, listed: Container[int], k: int) -> tuple[int, int]:
         if all(u in listed for u in flipped):
             cube += flipped
             free |= bit
-    return v & ~free, free
+    return v & ~free, free, cube
 
 
 def enumerate_patterns(
@@ -440,12 +469,13 @@ def enumerate_patterns(
     `sweep`, a `_sweep` of the site's region or of any region with its
     support (another support is refused), the one batch is every support
     assignment, cut after cap + 1 vectors.  Without it, iterated SAT: each
-    model's neighbourhood of support assignments is one batch, and every
-    new vector found there is blocked by a clause over difference variables
-    only (see `_blocking_cube`), so patterns (not models) are enumerated
-    until the solver proves none is left.  More than `cap` patterns (the
-    first `cap` are listed), or a solver budget exhaustion, yields an
-    Overflow result that falls back to the static set (sound, never wrong).
+    model seeds a flood whose waves are the batches (see
+    `_neighbourhood_diffs`), and every new vector of the flood is blocked by
+    a clause over difference variables only (see `_blocking_cube`), so
+    patterns (not models) are enumerated until the solver proves none is
+    left.  More than `cap` patterns (the first `cap` are listed), or a
+    solver budget exhaustion, yields an Overflow result that falls back to
+    the static set (sound, never wrong).
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -454,19 +484,16 @@ def enumerate_patterns(
     site_name = c.net_names[site.site_net]
     ffs = site.static_ffs
     pos = {ff: j for j, ff in enumerate(ffs)}
-    found: dict[int, tuple[int, ...]] = {}   # vector, bit j for ffs[j] -> its FFs
+    found: dict[tuple[int, ...], int] = {}   # listed vector's FFs -> its code, bit j for ffs[j]
 
-    def code(members: tuple[int, ...]) -> int:
-        return sum(1 << pos[ff] for ff in members)
-
-    def list_new(diffs: list[int], full: int, limit: int | None = None) -> list[int]:
-        """List the vectors of one simulated batch not listed yet; their codes."""
+    def list_new(diffs: list[int], full: int, limit: int | None = None) -> list[tuple[int, int]]:
+        """List the vectors of one simulated batch not listed yet: the code
+        of each and the lowest bit of the batch that gives it."""
         new = []
-        for members in _distinct_patterns(diffs, ffs, full, limit):
-            v = code(members)
-            if v not in found:
-                found[v] = members
-                new.append(v)
+        for members, bit in _distinct_patterns(diffs, ffs, full, limit):
+            if members not in found:
+                found[members] = v = sum(1 << pos[ff] for ff in members)
+                new.append((v, bit))
         return new
 
     unknown = False
@@ -484,7 +511,8 @@ def enumerate_patterns(
         dvars = [f.diff_vars[ff] for ff in ffs]
         solver.add_clause(dvars)  # some difference must be observed
         svars = [f.good_vars[net] for net in m.region.support]
-        # every harvest lists the model's own, unblocked vector, so the loop
+        k = len(svars)
+        # every flood lists the model's own, unblocked vector, so the loop
         # stops after at most cap + 1 SAT answers
         while len(found) <= cap:
             res = solver.solve(conflict_limit=conflict_limit)
@@ -495,31 +523,41 @@ def enumerate_patterns(
             if res.status == UNSAT:
                 break
             model = res.model
-            diffs, full = _neighbourhood_diffs(c, m, [model[v] for v in svars])
+            seeds = [sum(1 << j for j, v in enumerate(svars) if model[v])]
+            diffs, full = _neighbourhood_diffs(c, m, seeds)
             own = tuple(ff for ff, dv in zip(ffs, dvars) if model[dv])
             if own != tuple(ff for ff, d in zip(ffs, diffs) if d & 1):
                 raise RuntimeError(
                     f"site '{site_name}': the SAT model's difference vector {own} is not "
                     "what simulating its assignment gives; encoding and evaluator disagree"
                 )
-            if code(own) in found:
+            if own in found:
                 # without this, the loop would find the unblocked vector forever
                 raise RuntimeError(f"site '{site_name}': the listed vector {own} was not blocked")
-            cubes: list[tuple[int, int]] = []
-            for v in list_new(diffs, full):
-                if any(v & ~free == base for base, free in cubes):
+            # the flood: each wave simulates the balls around the witnesses
+            # of the previous wave's new vectors
+            flooded: list[int] = []
+            while (new := list_new(diffs, full)) and len(found) <= cap:
+                flooded += (v for v, _ in new)
+                seeds = [_ball_assignment(seeds, bit, k) for _, bit in new]
+                diffs, full = _neighbourhood_diffs(c, m, seeds)
+            if len(found) > cap:
+                break
+            listed = set(found.values())
+            covered: set[int] = set()
+            for v in flooded:
+                if v in covered:
                     continue
-                base, free = _blocking_cube(v, found, len(ffs))
-                cubes.append((base, free))
+                base, free, cube = _blocking_cube(v, listed, len(ffs))
+                covered.update(cube)
                 solver.add_clause(
                     [-dv if base >> j & 1 else dv
                      for j, dv in enumerate(dvars) if not free >> j & 1]
                 )
     overflow = unknown or len(found) > cap
-    listed = list(found.values())[:cap]
     return PatternResult(
         site=site_name,
-        patterns=tuple(DifferencePattern(site_name, FFSet(ms)) for ms in listed),
+        patterns=tuple(DifferencePattern(site_name, FFSet(ms)) for ms in list(found)[:cap]),
         complete=not overflow,
         overflow=overflow,
         unknown=unknown,

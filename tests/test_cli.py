@@ -272,6 +272,24 @@ def _repeated_site(a, b):
     return {out: ["sets.json", "'g1'", "listed twice"]}
 
 
+def _repeated_pattern(a, b):
+    """Site x of divergent.bench lists its pattern {f1} a second time, once
+    as it was and once with the name repeated, a run each."""
+    expected = {}
+    for name, again in (("again", ["f1"]), ("doubled", ["f1", "f1"])):
+        out = a.parent / name
+        for cmd in ("sets", "propagate"):
+            assert run_cli([cmd, "--input", DATA / "divergent.bench", "--out", out]) == EXIT_OK
+        path = out / "patterns.json"
+        data = read_json(path)
+        row = next(r for r in data["sites"] if r["site"] == "x")
+        assert ["f1"] in row["patterns"]
+        row["patterns"].append(again)
+        path.write_text(json.dumps(data))
+        expected[out] = ["patterns.json", "site 'x' pattern 'f1' is listed twice"]
+    return expected
+
+
 def _edited_sets(src, name, edit):
     """A copy of run directory `src`, named `name`, whose sets.json `edit` changed."""
     out = src.parent / name
@@ -336,6 +354,7 @@ def _set_sites_mismatch(a, b):
         _repeated_ff_name,
         _string_name_list,
         _repeated_site,
+        _repeated_pattern,
         _numeric_ff_names,
         _old_sets_layout,
         _bad_set_index,
@@ -353,6 +372,7 @@ def _set_sites_mismatch(a, b):
         "repeated_ff_name",
         "string_name_list",
         "repeated_site",
+        "repeated_pattern",
         "numeric_ff_names",
         "old_sets_layout",
         "bad_set_index",

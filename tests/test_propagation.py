@@ -10,6 +10,7 @@ from set2seu.propagation import (
     SIM_SUPPORT_LIMIT,
     DifferencePattern,
     PatternResult,
+    _ball_assignment,
     _blocking_cube,
     _difference_masks,
     _eval_gate_masked,
@@ -280,10 +281,12 @@ def test_exactly_cap_patterns_is_not_overflow(divergent, engine):
 
 @pytest.mark.parametrize("engine", ["sim", "sat"])
 def test_overflow_lists_by_size_then_declaration_order(engine):
-    # z is declared before a, so {z} comes first though "a" < "z" by name
+    # x upsets z when y is 1 and a when y is 0, so every batch of either
+    # engine, a sweep or a Hamming ball, holds both patterns; z is declared
+    # before a, so {z} comes first though "a" < "z" by name
     c = parse_bench(
         "INPUT(x)\nINPUT(y)\nOUTPUT(z)\nz = DFF(g1)\na = DFF(g2)\n"
-        "g1 = AND(x, y)\ng2 = AND(x, z)"
+        "ny = NOT(y)\ng1 = AND(x, y)\ng2 = AND(x, ny)"
     )
     r = enumerate_with(engine, c, sites_by_name(c)["x"], cap=1)
     assert r.overflow
@@ -537,7 +540,7 @@ def test_each_region_is_built_once(make):
     assert {r.engine for r in results.values()} == {"sim", "sat"}
 
 
-# -- SAT engine: each model's neighbourhood is simulated ---------------------------
+# -- SAT engine: each model seeds a flood of simulation ---------------------------
 
 
 @pytest.mark.parametrize(
@@ -589,6 +592,17 @@ def test_harvest_takes_few_solves_on_wide_fanout():
     assert r.solves * 10 < len(r.patterns)  # one call a pattern would be 1,024 calls
 
 
+def test_flood_reaches_patterns_beyond_the_first_ball():
+    """A radius-1 ball around one model holds at most 11 of wide_fanout's
+    1,023 patterns, but every pattern is one flip-flop away from another:
+    the flood's waves list them all from the first model, and the second
+    solve proves that none is left."""
+    c, site = wide_fanout()
+    r = enumerate_patterns(c, site)
+    assert r.complete and len(r.patterns) == 1023
+    assert r.solves == 2
+
+
 def test_cube_blocking_adds_fewer_clauses_than_patterns():
     c, site = wide_fanout()
     f = encode_cnf(build_miter(c, site), c)
@@ -618,10 +632,10 @@ def test_blocking_cube_is_a_maximal_listed_subcube(k):
     for density in (0.2, 0.5, 0.8, 1.0):
         listed = {v for v in range(1, 1 << k) if rng.random() < density}
         for v in listed:
-            base, free = _blocking_cube(v, listed, k)
+            base, free, members = _blocking_cube(v, listed, k)
             assert base & free == 0 and v & ~free == base
             cube = [base | sub for sub in range(1 << k) if sub & ~free == 0]
-            assert set(cube) <= listed
+            assert sorted(members) == cube and set(cube) <= listed
             for j in range(k):
                 if not free >> j & 1:
                     assert any(u ^ 1 << j not in listed for u in cube), (v, j)
@@ -634,7 +648,7 @@ def test_harvest_overshooting_cap_lists_cap_real_patterns():
     full = enumerate_patterns(c, site)
     assert full.complete and pattern_set(full) == real
     r = enumerate_patterns(c, site, cap=3)
-    assert r.solves == 1  # the first harvest alone passed the cap
+    assert r.solves == 1  # the first flood alone passed the cap
     assert r.overflow and not r.complete and not r.unknown
     assert len(r.patterns) == 3 and pattern_set(r) <= real
     assert r.effective_sets() == (FFSet(site.static_ffs),)
@@ -644,8 +658,10 @@ def test_harvest_overshooting_cap_lists_cap_real_patterns():
 
 
 def test_neighbourhood_bits_match_scalar_simulation():
-    """Bit b of the harvest's difference masks is the difference vector of
-    the b-th assignment of the Hamming ball, as `oracle.simulate` gives it."""
+    """Bit b of one flood wave's difference masks is the difference vector,
+    as `oracle.simulate` gives it, of the assignment that the flood reads
+    back as bit b's witness: a seed of the wave with some support nets of
+    the Hamming ball flipped."""
     import random
 
     rng = random.Random(5)
@@ -653,14 +669,17 @@ def test_neighbourhood_bits_match_scalar_simulation():
     work = [s for s in enumerate_fault_sites(c) if s.static_ffs]
     for site in sorted(work, key=lambda s: -len(site_support(c, s)))[:4]:
         support = site_support(c, site)
-        base = [rng.random() < 0.5 for _ in support]
-        diffs, full = _neighbourhood_diffs(c, build_miter(c, site), base)
-        _, flips = _flip_masks(len(support), propagation.HARVEST_RADIUS)
+        k = len(support)
+        seeds = [rng.getrandbits(k) for _ in range(3)]
+        diffs, full = _neighbourhood_diffs(c, build_miter(c, site), seeds)
+        ball, width, _, _ = _flip_masks(k, propagation.HARVEST_RADIUS)
+        assert full == sum(ball << s * width for s in range(len(seeds)))
         for b in range(full.bit_length()):
+            witness = _ball_assignment(seeds, b, k)
+            if b % width == 0:
+                assert witness == seeds[b // width]
             assignment = {n: False for n in range(c.num_nets) if c.driver[n][0] != "gate"}
-            assignment.update(
-                {net: v != bool(fl >> b & 1) for net, v, fl in zip(support, base, flips)}
-            )
+            assignment.update({net: bool(witness >> j & 1) for j, net in enumerate(support)})
             good = simulate(c, assignment)
             bad = simulate(c, assignment, forced_flip=site.site_net)
             want = [good[c.flipflops[f].d_net] != bad[c.flipflops[f].d_net] for f in site.static_ffs]
@@ -687,13 +706,15 @@ def test_eval_gate_masked_matches_scalar_reference(kind, arity):
 @pytest.mark.parametrize("radius", range(3))
 @pytest.mark.parametrize("k", range(1, 7))
 def test_flip_masks_cover_the_hamming_ball_once(k, radius):
-    full, flips = _flip_masks(k, radius)
+    full, width, flips, offsets = _flip_masks(k, radius)
     bits = full.bit_length()
     assert full == (1 << bits) - 1 and all(fl & ~full == 0 for fl in flips)
+    assert width == max(bits, k)
     flipped = [tuple(j for j in range(k) if flips[j] >> b & 1) for b in range(bits)]
     assert flipped[0] == ()
     want = [m for r in range(radius + 1) for m in combinations(range(k), r)]
     assert flipped == want
+    assert offsets == tuple(sum(1 << j for j in m) for m in want)
 
 
 @pytest.mark.parametrize(
