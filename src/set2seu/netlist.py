@@ -8,16 +8,19 @@ state elements; all downstream analyses rely on that.
 `GATE_KINDS` maps each gate kind to (base, inverted): its base function,
 AND, OR or XOR of two or more inputs or BUFF of exactly one, and whether it
 inverts the output.  NAND, NOR, XNOR and NOT are inverted AND, OR, XOR and
-BUFF.  The validator, the evaluator and the CNF encoder all read this table.
+BUFF.  The validator, the evaluator and the CNF encoder all read this table;
+the evaluator through `Circuit.gate_table`, built from it once per circuit.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from operator import and_, or_, xor
+from typing import Callable, Iterable
 
 GATE_KINDS: dict[str, tuple[str, bool]] = {
     "AND": ("AND", False),
@@ -29,6 +32,13 @@ GATE_KINDS: dict[str, tuple[str, bool]] = {
     "NOT": ("BUFF", True),
     "BUFF": ("BUFF", False),
 }
+
+# The bitwise operator of each base function, for gates evaluated on
+# integers that hold one assignment per bit.  A BUFF's one input is what
+# `functools.reduce` returns, whatever the operator.
+_BITWISE = {"AND": and_, "OR": or_, "XOR": xor, "BUFF": and_}
+# A gate as the evaluator reads it: (operator, inverted, inputs, output).
+GateRow = tuple[Callable[[int, int], int], bool, tuple[int, ...], int]
 
 # a net or flip-flop name as `.bench` can write it: nonempty, without
 # whitespace, '(', ')', ',', '=' or '#' (which starts a comment)
@@ -138,6 +148,16 @@ class Circuit:
         return tuple(tuple(v) for v in out)
 
     @cached_property
+    def gate_table(self) -> tuple[GateRow, ...]:
+        """Per gate id: the bitwise operator of its base function, whether it
+        inverts, its inputs and its output (see `GATE_KINDS`)."""
+        rows = []
+        for g in self.gates:
+            base, inverted = GATE_KINDS[g.kind]
+            rows.append((_BITWISE[base], inverted, g.inputs, g.output))
+        return tuple(rows)
+
+    @cached_property
     def topo_gates(self) -> tuple[int, ...]:
         """Gate ids in topological order (inputs before consumers).
 
@@ -149,16 +169,15 @@ class Circuit:
             for n in g.inputs:
                 if self.driver[n][0] == "gate":
                     indeg[g.id] += 1
-        ready = [gid for gid, d in enumerate(indeg) if d == 0]
+        ready = [gid for gid, d in enumerate(indeg) if d == 0]  # ascending: a heap
         order: list[int] = []
         while ready:
-            ready.sort(reverse=True)
-            gid = ready.pop()
+            gid = heapq.heappop(ready)
             order.append(gid)
             for sink in self.fanout_gates[self.gates[gid].output]:
                 indeg[sink] -= 1
                 if indeg[sink] == 0:
-                    ready.append(sink)
+                    heapq.heappush(ready, sink)
         return tuple(order)
 
     @cached_property

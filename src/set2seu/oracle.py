@@ -18,7 +18,13 @@ from __future__ import annotations
 from .cones import FaultSite, closure_support, relevant_closure
 from .ffsets import FFSet
 from .netlist import Circuit
-from .propagation import DifferencePattern, _distinct_patterns, _eval_gate_masked, _var_mask
+from .propagation import (
+    DifferencePattern,
+    _canonical,
+    _distinct_patterns,
+    _evaluate,
+    _var_mask,
+)
 from .solver import SAT, UNSAT, SolveResult
 
 DEFAULT_SUPPORT_LIMIT = 20
@@ -99,21 +105,19 @@ def exhaustive_patterns(
     region_gates = [gid for gid in c.topo_gates if c.gates[gid].output in region]
     full = (1 << (1 << k)) - 1
 
-    good: dict[int, int] = {}
-    for j, net in enumerate(support):
-        good[net] = _var_mask(j, k)
-    for gid in region_gates:
-        g = c.gates[gid]
-        good[g.output] = _eval_gate_masked(g.kind, [good[n] for n in g.inputs], full)
+    good = {net: _var_mask(j, k) for j, net in enumerate(support)}
+    _evaluate(c, region_gates, good, full)
 
     down = {site.site_net}
-    faulty = dict(good)
-    faulty[site.site_net] = good[site.site_net] ^ full
+    fanout = []
     for gid in region_gates:
         g = c.gates[gid]
         if g.output != site.site_net and any(n in down for n in g.inputs):
             down.add(g.output)
-            faulty[g.output] = _eval_gate_masked(g.kind, [faulty[n] for n in g.inputs], full)
+            fanout.append(gid)
+    faulty = dict(good)
+    faulty[site.site_net] = good[site.site_net] ^ full
+    _evaluate(c, fanout, faulty, full)
 
     diffs = []
     for f in site.static_ffs:
@@ -123,7 +127,7 @@ def exhaustive_patterns(
     site_name = c.net_names[site.site_net]
     return [
         DifferencePattern(site_name, FFSet(members))
-        for members, _ in _distinct_patterns(diffs, site.static_ffs, full)
+        for members, _ in sorted(_distinct_patterns(diffs, site.static_ffs, full), key=_canonical)
     ]
 
 

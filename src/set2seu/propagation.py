@@ -37,8 +37,7 @@ support assignment, and differ only in which assignments they simulate:
 
 Both engines re-simulate only the site's faulty fan-out, and event-driven:
 a fan-out gate none of whose inputs differs from the good circuit is
-skipped, and a faulty value equal to the good one is dropped, so a
-difference stops where it dies (as in concurrent fault simulation, Ulrich
+skipped, so a difference stops where it dies (as in concurrent fault simulation, Ulrich
 and Baker, IEEE Computer 1974).  One listing step serves both: each
 simulated batch (the sweep, or one flood wave) is split into
 classes of equal difference vectors at the flip-flops, and the vectors not
@@ -53,7 +52,6 @@ from collections.abc import Container, Iterable
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import combinations, repeat
-from operator import and_, or_, xor
 
 from .cones import FaultSite, closure_support, relevant_closure
 from .ffsets import FFSet, SetCollection
@@ -185,12 +183,13 @@ def build_miter(c: Circuit, site: FaultSite, region: Region | None = None) -> Mi
         region = build_region(c, site)
     elif region.static_ffs != site.static_ffs:
         raise ValueError("the region is of another flip-flop set than the site's")
+    table = c.gate_table
     down = {site.site_net}
     fanout = []
     for gid in region.gates:
-        g = c.gates[gid]
-        if not down.isdisjoint(g.inputs):
-            down.add(g.output)
+        _, _, ins, out = table[gid]
+        if not down.isdisjoint(ins):
+            down.add(out)
             fanout.append(gid)
     return MiterInstance(site, region, tuple(fanout))
 
@@ -317,58 +316,63 @@ def _flip_masks(k: int, radius: int) -> tuple[int, int, tuple[int, ...], tuple[i
     return (1 << len(offsets)) - 1, max(len(offsets), k), tuple(flips), tuple(offsets)
 
 
-# Per gate kind, the bitwise operator of its base function and whether it
-# inverts.  A BUFF's one input is what `reduce` returns, whatever the operator.
-_MASKED = {
-    kind: ({"AND": and_, "OR": or_, "XOR": xor, "BUFF": and_}[base], inverted)
-    for kind, (base, inverted) in GATE_KINDS.items()
-}
-
-
-def _eval_gate_masked(kind: str, ins: list[int], full: int) -> int:
-    """The gate's output, one bit per assignment (the bits of `full`)."""
-    op, inverted = _MASKED[kind]
-    v = reduce(op, ins)
-    return full ^ v if inverted else v
+def _evaluate(c: Circuit, gids: Iterable[int], values: dict[int, int], full: int) -> None:
+    """Evaluate the gates `gids` in order, one bit per assignment (the bits
+    of `full`): each gate's output value is stored in `values`, computed
+    from its inputs' values there."""
+    table, get = c.gate_table, values.__getitem__
+    for gid in gids:
+        op, inverted, ins, out = table[gid]
+        v = reduce(op, map(get, ins))
+        values[out] = full ^ v if inverted else v
 
 
 def _distinct_patterns(
     diffs: list[int], ff_ids: tuple[int, ...], full: int, limit: int | None = None
 ) -> list[tuple[tuple[int, ...], int]]:
-    """Distinct nonempty difference vectors, canonically sorted, each with
-    the lowest assignment (bit of `full`) that gives it.
+    """Distinct nonempty difference vectors, each with the lowest assignment
+    (bit of `full`) that gives it, in the order the split finds them; sort
+    them with `_canonical`.
 
     Partitions the assignments (the bits of `full`) by FF: each class is
     split into the assignments where FF j differs (`hit`) and the rest.  The
     nonempty classes left after the last FF are the distinct vectors.  The
     stack replaces recursion, whose depth would be the FF count, and holds
-    at most one pending sibling per level.  With `limit`, the split stops
-    once that many vectors are found.
+    at most one pending sibling per level: a class is followed down to the
+    last FF on its `hit` side, and only where an FF splits it does the rest
+    wait on the stack, so a level that does not split it costs no stack
+    entry.  With `limit`, the split stops once that many vectors are found.
     """
+    n = len(ff_ids)
     out = []
     stack = [(full, 0, ())]
     while stack and len(out) != limit:
         mask, j, members = stack.pop()
-        if j == len(ff_ids):
-            if members:
-                out.append((members, (mask & -mask).bit_length() - 1))
-            continue
-        hit = mask & diffs[j]
-        if hit != mask:
-            stack.append((mask ^ hit, j + 1, members))
-        if hit:
-            stack.append((hit, j + 1, members + (ff_ids[j],)))
-    out.sort(key=lambda mb: (len(mb[0]), mb[0]))
+        while j < n:
+            hit = mask & diffs[j]
+            if hit == mask:
+                members += (ff_ids[j],)
+            elif hit:
+                stack.append((mask ^ hit, j + 1, members))
+                mask = hit
+                members += (ff_ids[j],)
+            j += 1
+        if members:
+            out.append((members, (mask & -mask).bit_length() - 1))
     return out
+
+
+def _canonical(leaf: tuple[tuple[int, ...], int]) -> tuple[int, tuple[int, ...]]:
+    """Sort key of a `_distinct_patterns` vector: fewer flip-flops first,
+    then by flip-flop ids."""
+    return len(leaf[0]), leaf[0]
 
 
 def _good_values(c: Circuit, region: Region, inputs: Iterable[int], full: int) -> dict[int, int]:
     """Good-circuit value of every region net, one bit per assignment (the
     bits of `full`), from the value of each support net in `inputs`."""
     good = dict(zip(region.support, inputs))
-    for gid in region.gates:
-        g = c.gates[gid]
-        good[g.output] = _eval_gate_masked(g.kind, [good[n] for n in g.inputs], full)
+    _evaluate(c, region.gates, good, full)
     return good
 
 
@@ -385,22 +389,26 @@ def _difference_masks(c: Circuit, m: MiterInstance, good: dict[int, int], full: 
 
     `good` holds the good value of every region net.  Only the miter's
     faulty fan-out is re-simulated with the site inverted, event-driven: a
-    gate with no differing input is skipped, and a faulty value equal to
-    the good one is not kept, so every net missing from `faulty` keeps its
-    good value in the faulty circuit.
+    gate none of whose inputs differs from its good value is skipped, so it
+    keeps its good value, copied from `good`.
     """
-    site = m.site
-    faulty = {site.site_net: good[site.site_net] ^ full}
-    differs = faulty.keys()
-    for gid in m.dup_gates:
-        g = c.gates[gid]
-        if differs.isdisjoint(g.inputs):
-            continue
-        v = _eval_gate_masked(g.kind, [faulty.get(n, good[n]) for n in g.inputs], full)
-        if v != good[g.output]:
-            faulty[g.output] = v
-    d_nets = [c.flipflops[f].d_net for f in site.static_ffs]
-    return [good[d] ^ faulty.get(d, good[d]) for d in d_nets]
+    site = m.site.site_net
+    table = c.gate_table
+    faulty = dict(good)
+    faulty[site] ^= full
+    differs = {site}
+
+    def active():
+        # `_evaluate` stores a gate's value before it asks for the next gate
+        for gid in m.dup_gates:
+            _, _, ins, out = table[gid]
+            if not differs.isdisjoint(ins):
+                yield gid
+                if faulty[out] != good[out]:
+                    differs.add(out)
+
+    _evaluate(c, active(), faulty, full)
+    return [good[d] ^ faulty[d] for d in (c.flipflops[f].d_net for f in m.site.static_ffs)]
 
 
 def _neighbourhood_diffs(c: Circuit, m: MiterInstance, seeds: list[int]) -> tuple[list[int], int]:
@@ -487,13 +495,15 @@ def enumerate_patterns(
     found: dict[tuple[int, ...], int] = {}   # listed vector's FFs -> its code, bit j for ffs[j]
 
     def list_new(diffs: list[int], full: int, limit: int | None = None) -> list[tuple[int, int]]:
-        """List the vectors of one simulated batch not listed yet: the code
-        of each and the lowest bit of the batch that gives it."""
+        """List the vectors of one simulated batch not listed yet, in
+        `_canonical` order: the code of each and the lowest bit of the
+        batch that gives it."""
+        leaves = _distinct_patterns(diffs, ffs, full, limit)
+        leaves = sorted((leaf for leaf in leaves if leaf[0] not in found), key=_canonical)
         new = []
-        for members, bit in _distinct_patterns(diffs, ffs, full, limit):
-            if members not in found:
-                found[members] = v = sum(1 << pos[ff] for ff in members)
-                new.append((v, bit))
+        for members, bit in leaves:
+            found[members] = v = sum(1 << pos[ff] for ff in members)
+            new.append((v, bit))
         return new
 
     unknown = False

@@ -8,6 +8,14 @@ UNKNOWN instead of an unbounded search.  Clauses are plain lists; learnt-
 clause reduction detaches the clauses it deletes from every watch list in
 one pass, and an activity rescale rebuilds the decision heap, which holds a
 current entry for every unassigned variable.
+
+The per-literal state is kept in lists indexed by the literal itself, as
+in MiniSat (Een & Sorensson, "An extensible SAT-solver", SAT 2003): with n
+variables such a list has 2n + 1 slots, literal v (1 <= v <= n) at index v
+and literal -v read through Python's negative indexing, at index 2n + 1 - v.
+A literal's value, watch list, decision level and reason are each one list
+read, without abs() or a sign test.  A new variable therefore goes in the
+middle of each such list, between the positive and the negative half.
 """
 
 from __future__ import annotations
@@ -50,10 +58,12 @@ class CdclSolver:
         self.num_vars = 0
         self.num_clauses = 0                  # problem clauses of 2+ literals
         self.learnts: list[list[int]] = []
-        self.watches: dict[int, list[list[int]]] = {}
-        self.assign: list = [None]            # var -> bool | None
-        self.level: list[int] = [0]
-        self.reason: list = [None]
+        # indexed by literal (see the module docstring); slot 0 is unused
+        self.value: list = [None]             # bool | None
+        self.watches: list[list[list[int]]] = [[]]
+        self.level: list[int] = [0]           # the same for v and -v
+        self.reason: list = [None]            # at the literal made true
+        # indexed by variable
         self.activity: list[float] = [0.0]
         self.polarity: list[bool] = [False]
         self.trail: list[int] = []
@@ -67,28 +77,21 @@ class CdclSolver:
 
     # -- variables ---------------------------------------------------------
 
-    def new_var(self) -> int:
-        self.num_vars += 1
-        v = self.num_vars
-        self.assign.append(None)
-        self.level.append(0)
-        self.reason.append(None)
-        self.activity.append(0.0)
-        self.polarity.append(False)
-        self.watches.setdefault(v, [])
-        self.watches.setdefault(-v, [])
-        heapq.heappush(self.order, (0.0, v))
-        return v
-
     def ensure_vars(self, n: int) -> None:
-        while self.num_vars < n:
-            self.new_var()
-
-    def _value(self, lit: int):
-        a = self.assign[abs(lit)]
-        if a is None:
-            return None
-        return a if lit > 0 else not a
+        old = self.num_vars
+        if n <= old:
+            return
+        grow = 2 * (n - old)
+        mid = old + 1   # new positive literals, then the new negative ones
+        self.value[mid:mid] = [None] * grow
+        self.watches[mid:mid] = [[] for _ in range(grow)]
+        self.level[mid:mid] = [0] * grow
+        self.reason[mid:mid] = [None] * grow
+        self.activity += [0.0] * (n - old)
+        self.polarity += [False] * (n - old)
+        for v in range(old + 1, n + 1):
+            heapq.heappush(self.order, (0.0, v))
+        self.num_vars = n
 
     # -- clause database ----------------------------------------------------
 
@@ -99,23 +102,24 @@ class CdclSolver:
         between solve() calls).
         """
         assert not self.trail_lim, "add_clause only at decision level 0"
-        seen = set()
-        out = []
+        n = self.num_vars
+        value = self.value
+        out: list[int] = []
         for lit in lits:
-            v = abs(lit)
-            if v == 0:
+            if lit > n or -lit > n:
+                n = abs(lit)
+                self.ensure_vars(n)
+            elif not lit:
                 raise ValueError("literal 0 is not allowed")
-            self.ensure_vars(v)
-            if -lit in seen:
-                return  # tautology
-            if lit in seen:
-                continue
-            seen.add(lit)
-            val = self._value(lit)
-            if val is not None and self.level[v] == 0:
+            val = value[lit]
+            if val is not None:       # assigned at level 0, so for good
                 if val:
                     return  # already satisfied forever
                 continue  # falsified forever: drop literal
+            if lit in out:
+                continue
+            if -lit in out:
+                return  # tautology
             out.append(lit)
         if not out:
             self.unsat = True
@@ -123,174 +127,190 @@ class CdclSolver:
         if len(out) == 1:
             self._enqueue(out[0], None)  # unassigned here; solve() propagates it
             return
-        cl = out[:]  # exact-size copy
         self.num_clauses += 1
-        self.watches[out[0]].append(cl)
-        self.watches[out[1]].append(cl)
+        self._watch(out[:])  # exact-size copy
 
-    def _attach_learnt(self, lits: list[int]) -> list[int]:
-        cl = lits[:]  # exact-size copy
-        self.learnts.append(cl)
-        self.watches[lits[0]].append(cl)
-        self.watches[lits[1]].append(cl)
-        return cl
+    def _watch(self, cl: list[int]) -> None:
+        self.watches[cl[0]].append(cl)
+        self.watches[cl[1]].append(cl)
 
     # -- trail --------------------------------------------------------------
 
-    @property
-    def dlevel(self) -> int:
-        return len(self.trail_lim)
-
     def _enqueue(self, lit: int, reason: list[int] | None) -> None:
-        v = abs(lit)
-        self.assign[v] = lit > 0
-        self.level[v] = self.dlevel
-        self.reason[v] = reason
+        value, level = self.value, self.level
+        value[lit] = True
+        value[-lit] = False
+        level[lit] = level[-lit] = len(self.trail_lim)
+        self.reason[lit] = reason
         self.trail.append(lit)
 
     def _cancel_until(self, lvl: int) -> None:
-        if self.dlevel <= lvl:
+        trail_lim = self.trail_lim
+        if len(trail_lim) <= lvl:
             return
-        bound = self.trail_lim[lvl]
-        for lit in reversed(self.trail[bound:]):
-            v = abs(lit)
-            self.polarity[v] = self.assign[v]
-            self.assign[v] = None
-            self.reason[v] = None
-            heapq.heappush(self.order, (-self.activity[v], v))
-        del self.trail[bound:]
-        del self.trail_lim[lvl:]
-        self.qhead = len(self.trail)
+        bound = trail_lim[lvl]
+        trail, value, reason = self.trail, self.value, self.reason
+        polarity, activity, order = self.polarity, self.activity, self.order
+        push = heapq.heappush
+        for i in range(len(trail) - 1, bound - 1, -1):
+            lit = trail[i]
+            value[lit] = value[-lit] = reason[lit] = None
+            if lit > 0:
+                polarity[lit] = True
+                push(order, (-activity[lit], lit))
+            else:
+                polarity[-lit] = False
+                push(order, (-activity[-lit], -lit))
+        del trail[bound:]
+        del trail_lim[lvl:]
+        self.qhead = bound
 
     # -- propagation ---------------------------------------------------------
 
     def _propagate(self) -> list[int] | None:
-        while self.qhead < len(self.trail):
-            p = self.trail[self.qhead]
-            self.qhead += 1
-            neg = -p
-            ws = self.watches[neg]
-            if not ws:
-                continue
-            keep: list[list[int]] = []
-            conflict = None
-            i = 0
-            n = len(ws)
-            while i < n:
-                cl = ws[i]
+        trail, value, watches = self.trail, self.value, self.watches
+        level, reason = self.level, self.reason
+        d = len(self.trail_lim)
+        qhead = self.qhead
+        while qhead < len(trail):
+            neg = -trail[qhead]
+            qhead += 1
+            ws = watches[neg]
+            # ws[:j] holds the clauses that keep watching `neg`; i counts
+            # the clauses looked at
+            i = j = 0
+            for cl in ws:
                 i += 1
-                if cl[0] == neg:
-                    cl[0], cl[1] = cl[1], cl[0]
                 first = cl[0]
-                v0 = self._value(first)
-                if v0 is True:
-                    keep.append(cl)
+                if first == neg:
+                    first = cl[0] = cl[1]
+                    cl[1] = neg
+                v0 = value[first]
+                if v0:
+                    ws[j] = cl
+                    j += 1
                     continue
                 for k in range(2, len(cl)):
-                    if self._value(cl[k]) is not False:
-                        cl[1], cl[k] = cl[k], cl[1]
-                        self.watches[cl[1]].append(cl)
+                    lit = cl[k]
+                    if value[lit] is not False:
+                        cl[1] = lit
+                        cl[k] = neg
+                        watches[lit].append(cl)
                         break
                 else:
-                    keep.append(cl)
+                    ws[j] = cl
+                    j += 1
                     if v0 is False:
-                        conflict = cl
-                        keep.extend(ws[i:])
-                        break
-                    self._enqueue(first, cl)
-            self.watches[neg] = keep
-            if conflict is not None:
-                return conflict
+                        del ws[j:i]  # the clauses after it keep their watch
+                        self.qhead = qhead
+                        return cl
+                    value[first] = True
+                    value[-first] = False
+                    level[first] = level[-first] = d
+                    reason[first] = cl
+                    trail.append(first)
+            del ws[j:]
+        self.qhead = qhead
         return None
 
     # -- VSIDS ----------------------------------------------------------------
 
     def _bump(self, v: int) -> None:
-        self.activity[v] += self.var_inc
-        if self.activity[v] > _ACT_RESCALE:
+        act = self.activity
+        act[v] += self.var_inc
+        if act[v] > _ACT_RESCALE:
             for u in range(1, self.num_vars + 1):
-                self.activity[u] *= 1.0 / _ACT_RESCALE
+                act[u] *= 1.0 / _ACT_RESCALE
             self.var_inc *= 1.0 / _ACT_RESCALE
-            act, assign = self.activity, self.assign  # every heap key is stale now
-            self.order = [(-act[u], u) for u in range(1, self.num_vars + 1) if assign[u] is None]
+            value = self.value  # every heap key is stale now
+            self.order = [(-act[u], u) for u in range(1, self.num_vars + 1) if value[u] is None]
             heapq.heapify(self.order)
-        elif self.assign[v] is None:
-            heapq.heappush(self.order, (-self.activity[v], v))
+        elif self.value[v] is None:
+            heapq.heappush(self.order, (-act[v], v))
 
     def _decay(self) -> None:
         self.var_inc *= 1.0 / 0.95
 
     def _pick_var(self) -> int | None:
         """The most active unassigned variable (lowest index on ties), or None."""
-        while self.order:
-            act, v = heapq.heappop(self.order)
-            if self.assign[v] is None and -act == self.activity[v]:
+        order, value, act = self.order, self.value, self.activity
+        while order:
+            a, v = heapq.heappop(order)
+            if value[v] is None and -a == act[v]:
                 return v
         return None
 
     # -- conflict analysis ------------------------------------------------------
 
     def _analyze(self, conflict: list[int]) -> tuple[list[int], int]:
+        level, trail = self.level, self.trail
+        d = len(self.trail_lim)
+        # every literal met here is false, so a variable is marked at its
+        # false literal, which is minus its literal on the trail
+        seen = bytearray(len(self.value))
         learnt: list[int] = [0]
-        seen = bytearray(self.num_vars + 1)
         counter = 0
         p = 0
         cl: list[int] | None = conflict
-        index = len(self.trail)
+        index = len(trail)
         while True:
             assert cl is not None
             # reason clauses keep their implied literal at index 0; skip it
             for q in (cl if p == 0 else cl[1:]):
-                v = abs(q)
-                if not seen[v] and self.level[v] > 0:
-                    seen[v] = 1
-                    self._bump(v)
-                    if self.level[v] >= self.dlevel:
-                        counter += 1
-                    else:
-                        learnt.append(q)
+                if not seen[q]:
+                    lq = level[q]
+                    if lq > 0:
+                        seen[q] = 1
+                        self._bump(q if q > 0 else -q)
+                        if lq >= d:
+                            counter += 1
+                        else:
+                            learnt.append(q)
             while True:
                 index -= 1
-                p = self.trail[index]
-                if seen[abs(p)]:
+                p = trail[index]
+                if seen[-p]:
                     break
             counter -= 1
-            seen[abs(p)] = 0
+            seen[-p] = 0
             if counter == 0:
                 break
-            cl = self.reason[abs(p)]
+            cl = self.reason[p]
         learnt[0] = -p
         if len(learnt) == 1:
             return learnt, 0
         # sort tail so learnt[1] carries the backjump level (second watch)
         max_i = 1
         for i in range(2, len(learnt)):
-            if self.level[abs(learnt[i])] > self.level[abs(learnt[max_i])]:
+            if level[learnt[i]] > level[learnt[max_i]]:
                 max_i = i
         learnt[1], learnt[max_i] = learnt[max_i], learnt[1]
-        return learnt, self.level[abs(learnt[1])]
+        return learnt, level[learnt[1]]
 
     def _reduce_db(self) -> None:
         """Delete the longer half of the learnt clauses, except binary ones and
         current reasons, and detach them from every watch list in one pass."""
-        locked = {id(self.reason[abs(lit)]) for lit in self.trail if self.reason[abs(lit)]}
+        reason = self.reason
+        locked = {id(reason[lit]) for lit in self.trail if reason[lit] is not None}
         self.learnts.sort(key=len)
         keep = len(self.learnts) // 2
         dead = [cl for cl in self.learnts[keep:] if id(cl) not in locked and len(cl) > 2]
         gone = {id(cl) for cl in dead}  # `dead` keeps these ids alive
         self.learnts = [cl for cl in self.learnts if id(cl) not in gone]
-        for lit, ws in self.watches.items():
-            self.watches[lit] = [cl for cl in ws if id(cl) not in gone]
+        for ws in self.watches:
+            ws[:] = [cl for cl in ws if id(cl) not in gone]
 
     # -- main search --------------------------------------------------------------
 
     def solve(self, assumptions: Iterable[int] = (), conflict_limit: int | None = None) -> SolveResult:
+        assumptions = list(assumptions)
+        if 0 in assumptions:
+            raise ValueError("literal 0 is not allowed")
         if self.unsat:
             return SolveResult(UNSAT, None, 0)
-        assumptions = list(assumptions)
-        for a in assumptions:
-            self.ensure_vars(abs(a))
+        self.ensure_vars(max(map(abs, assumptions), default=0))
         self._cancel_until(0)
+        trail, trail_lim, value = self.trail, self.trail_lim, self.value
 
         conflicts = 0
         restarts = 0
@@ -301,20 +321,23 @@ class CdclSolver:
             conflict = self._propagate()
             if conflict is not None:
                 conflicts += 1
-                if self.dlevel == 0:
+                if not trail_lim:
                     self.unsat = True
                     return SolveResult(UNSAT, None, conflicts)
                 learnt, back_lvl = self._analyze(conflict)
                 self._cancel_until(back_lvl)
                 if len(learnt) == 1:
-                    if self._value(learnt[0]) is False:
+                    val = value[learnt[0]]
+                    if val is False:
                         self.unsat = True
                         return SolveResult(UNSAT, None, conflicts)
-                    if self._value(learnt[0]) is None:
+                    if val is None:
                         self._enqueue(learnt[0], None)
                 else:
-                    cl = self._attach_learnt(learnt)
-                    self._enqueue(learnt[0], cl)
+                    cl = learnt[:]  # exact-size copy
+                    self.learnts.append(cl)
+                    self._watch(cl)
+                    self._enqueue(cl[0], cl)
                 self._decay()
                 if conflict_limit is not None and conflicts > conflict_limit:
                     self._cancel_until(0)
@@ -329,23 +352,24 @@ class CdclSolver:
                 continue
 
             # assumption handling: one decision level per assumption
-            if self.dlevel < len(assumptions):
-                a = assumptions[self.dlevel]
-                val = self._value(a)
+            d = len(trail_lim)
+            if d < len(assumptions):
+                a = assumptions[d]
+                val = value[a]
                 if val is False:
                     self._cancel_until(0)
                     return SolveResult(UNSAT, None, conflicts)
-                self.trail_lim.append(len(self.trail))
+                trail_lim.append(len(trail))
                 if val is None:
                     self._enqueue(a, None)
                 continue
 
             v = self._pick_var()
             if v is None:
-                model = list(self.assign)
+                model = value[: self.num_vars + 1]
                 self._cancel_until(0)
                 return SolveResult(SAT, model, conflicts)
-            self.trail_lim.append(len(self.trail))
+            trail_lim.append(len(trail))
             self._enqueue(v if self.polarity[v] else -v, None)
 
 

@@ -9,6 +9,7 @@ from set2seu import (
     parse_bench,
     to_bench,
 )
+from set2seu.random_circuits import corpus, make_random_circuit
 
 SMALLEST = "INPUT(a)\nINPUT(b)\ng = AND(a,b)\nf = DFF(g)\nOUTPUT(f)"
 
@@ -240,6 +241,30 @@ def test_topo_order_valid_and_stable(b01ish):
                 assert pos_of[idx] < pos_of[g.id]
     again = parse_bench(to_bench(b01ish))
     assert parse_bench(to_bench(b01ish)).topo_gates == again.topo_gates
+
+
+def _kahn_smallest_ready_first(c):
+    """Reference topological order: at each step the smallest gate id whose
+    gate-driven inputs are all placed."""
+    placed: set[int] = set()
+    order = []
+    while True:
+        ready = [
+            g.id for g in c.gates
+            if g.id not in placed
+            and all(c.driver[n][0] != "gate" or c.driver[n][1] in placed for n in g.inputs)
+        ]
+        if not ready:
+            return tuple(order)
+        order.append(min(ready))
+        placed.add(order[-1])
+
+
+def test_topo_order_is_smallest_ready_id_first_on_corpus():
+    circuits = corpus(12345, 200, max_gates=40, max_ffs=8, max_pis=6)
+    circuits += [make_random_circuit(s, n_pis=8, n_ffs=10, n_gates=300, n_pos=4) for s in (1, 2)]
+    for c in circuits:
+        assert c.topo_gates == _kahn_smallest_ready_first(c)
 
 
 def test_ff_d_and_q_are_distinct(b01ish, cone_chain):

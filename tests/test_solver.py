@@ -183,7 +183,7 @@ def _enumerate_models(nv, clauses, reduce):
             s._reduce_db()
             kept = {id(cl) for cl in s.learnts}
             dead = {id(cl) for cl in before if id(cl) not in kept}
-            assert not any(id(cl) in dead for ws in s.watches.values() for cl in ws)
+            assert not any(id(cl) in dead for ws in s.watches for cl in ws)
             deleted += len(dead)
         res = s.solve()
         if res.status != SAT:
@@ -203,3 +203,50 @@ def test_learnt_clause_reduction_detaches_and_keeps_enumeration():
         assert all(clause_satisfied(cl, m) for m in models for cl in clauses)
         assert len(models) == len(_enumerate_models(18, clauses, reduce=False)[0])
     assert deleted > 0
+
+
+def test_assumption_literal_zero_rejected_before_any_state_change():
+    s = CdclSolver(2)
+    s.add_clause([1, 2])
+    s.add_clause([-1, 2])
+    for assumptions in ([0], [1, 0], [5, 0]):
+        with pytest.raises(ValueError):
+            s.solve(assumptions)
+        assert (s.trail_lim, s.num_vars) == ([], 2)
+    s.add_clause([-2, 1])  # still at decision level 0
+    res = s.solve()
+    assert res.status == SAT and res.model[1:] == [True, True]
+    assert s.solve([-1]).status == UNSAT
+    assert s.solve().status == SAT
+
+
+def _agrees_with_truth_table(res, num_vars, clauses):
+    ref = brute_force_sat(num_vars, clauses)
+    assert res.status == ref.status
+    if res.status == SAT:
+        assert len(res.model) == num_vars + 1
+        assert all(clause_satisfied(cl, res.model) for cl in clauses)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_variables_that_appear_after_construction(seed):
+    """Clauses over new variables between solve calls, and an assumption on
+    a variable above num_vars, grow the literal-indexed state without
+    disturbing what is stored for the old variables."""
+    rng = random.Random(seed)
+    old = rng.randint(4, 9)
+    new = old + rng.randint(2, 6)
+    clauses = random_3cnf(rng, old, rng.randint(old, 3 * old))
+    s = CdclSolver(old)
+    for cl in clauses:
+        s.add_clause(cl)
+    _agrees_with_truth_table(s.solve(), old, clauses)
+    for cl in random_3cnf(rng, new, rng.randint(new, 3 * new)):
+        clauses.append(cl)
+        s.add_clause(cl)
+    _agrees_with_truth_table(s.solve(), new, clauses)
+    top = new + rng.randint(1, 3)
+    lit = rng.choice((top, -top))
+    res = s.solve([lit])
+    _agrees_with_truth_table(res, top, clauses + [[lit]])
+    _agrees_with_truth_table(s.solve(), top, clauses)
