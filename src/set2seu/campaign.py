@@ -171,7 +171,7 @@ class CampaignReport:
 
     def to_csv(self) -> str:
         cols = ["method", "num_sets", "num_superset", "max_multiplicity", "total_faults"]
-        cols += [f"n({m:g})" for m in self.margins]
+        cols += map(margin_column, self.margins)
         lines = [",".join(cols)]
         k = len(self.margins)
         for i, r in enumerate(self.methods):
@@ -179,6 +179,11 @@ class CampaignReport:
             row += [p.sample for p in self.plans[i * k : (i + 1) * k]]
             lines.append(",".join(map(str, row)))
         return "\n".join(lines) + "\n"
+
+
+def margin_column(margin: float) -> str:
+    """The `report.csv` column of an SFI margin's sample sizes."""
+    return f"n({margin:g})"
 
 
 def build_campaign(

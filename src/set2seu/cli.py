@@ -53,9 +53,14 @@ class RunConfig:
             raise ValueError("conflict_cap must be >= 0")
         if not self.margins:
             raise ValueError("margins must list at least one margin")
+        columns: dict[str, float] = {}
         for m in self.margins:
             if not 0 < m < 1:
                 raise ValueError(f"margin {m} outside (0, 1)")
+            col = campaign.margin_column(m)
+            if col in columns:
+                raise ValueError(f"margins {columns[col]} and {m} share report.csv column {col}")
+            columns[col] = m
         campaign.cutoff_for_confidence(self.confidence)
 
 

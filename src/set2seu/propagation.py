@@ -587,20 +587,19 @@ def analyze_sites(
 ) -> dict[str, PatternResult]:
     """Run pattern enumeration for every FF-reaching site.
 
-    Units of work are independent, and with jobs > 1 they are distributed
-    over worker processes (see `_work_units`).  Result order is fixed by
-    site net id either way.
+    The units of work (see `_work_units`) do not depend on `jobs`; with
+    jobs > 1 they are shared by at most `jobs` worker processes, each sent
+    the circuit once, when it starts.  Result order is fixed by site net id.
     """
     work = [s for s in sites if s.static_ffs]
-    units = _work_units(c, work, jobs)
+    units = _work_units(c, work)
     if jobs > 1 and len(units) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         # the executor forks all its workers at the first submit
-        with ProcessPoolExecutor(max_workers=min(jobs, len(units))) as ex:
-            done = list(
-                ex.map(_analyze_unit, repeat(c), units, repeat(cap), repeat(conflict_limit))
-            )
+        workers = min(jobs, len(units))
+        with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(c,)) as ex:
+            done = list(ex.map(_analyze_worker_unit, units, repeat(cap), repeat(conflict_limit)))
     else:
         done = [_analyze_unit(c, u, cap, conflict_limit) for u in units]
     found = {r.site: r for rs in done for r in rs}
@@ -612,15 +611,10 @@ def analyze_sites(
 WorkUnit = tuple[Region | None, list[tuple[Region, FaultSite]]]
 
 
-def _work_units(c: Circuit, sites: list[FaultSite], jobs: int = 1) -> list[WorkUnit]:
+def _work_units(c: Circuit, sites: list[FaultSite]) -> list[WorkUnit]:
     """Each region built once; the sites of all simulated regions with one
-    support as one unit, so that the good circuit is swept once per
-    support, and every SAT-answered site as a unit of its own.
-
-    With jobs > 1 each support's sites, region by region, are cut into at
-    most `jobs` runs of consecutive sites, so that the pool has work to
-    spread; each run sweeps only its own regions' gates.
-    """
+    support as one unit, which sweeps the union of those regions once, and
+    every SAT-answered site as a unit of its own."""
     groups: dict[tuple[int, ...], list[FaultSite]] = {}
     for s in sites:
         groups.setdefault(s.static_ffs, []).append(s)
@@ -635,14 +629,10 @@ def _work_units(c: Circuit, sites: list[FaultSite], jobs: int = 1) -> list[WorkU
     topo_pos = {gid: i for i, gid in enumerate(c.topo_gates)}
     sim_units: list[WorkUnit] = []
     for support, members in by_support.items():
-        size = -(-len(members) // jobs)
-        for i in range(0, len(members), size):
-            run = members[i : i + size]
-            # the region of all the run's flip-flops: its regions' gates, same support
-            regions = {r.static_ffs: r for r, _ in run}.values()
-            gates = sorted({g for r in regions for g in r.gates}, key=topo_pos.__getitem__)
-            ffs = sorted({f for r in regions for f in r.static_ffs})
-            sim_units.append((Region(tuple(ffs), support, tuple(gates)), run))
+        regions = {r.static_ffs: r for r, _ in members}.values()
+        gates = sorted({g for r in regions for g in r.gates}, key=topo_pos.__getitem__)
+        ffs = sorted({f for r in regions for f in r.static_ffs})
+        sim_units.append((Region(tuple(ffs), support, tuple(gates)), members))
     return sim_units + sat_units
 
 
@@ -654,6 +644,16 @@ def _analyze_unit(
     swept, members = unit
     sweep = None if swept is None else _sweep(c, swept)
     return [enumerate_patterns(c, s, cap, conflict_limit, r, sweep) for r, s in members]
+
+
+def _init_worker(c: Circuit) -> None:
+    """Start a worker process: `_analyze_worker_unit` reads its circuit from here."""
+    global _worker_circuit
+    _worker_circuit = c
+
+
+def _analyze_worker_unit(unit: WorkUnit, cap: int, conflict_limit: int | None):
+    return _analyze_unit(_worker_circuit, unit, cap, conflict_limit)
 
 
 def optimize_sets(static: SetCollection, results: dict[str, PatternResult]) -> SetCollection:

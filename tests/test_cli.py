@@ -558,6 +558,28 @@ def test_out_of_range_flag_value_names_setting(tmp_path, capsys, flag, value, se
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize(
+    "margins, label",
+    [("0.05,0.05", "0.05"), ("0.05,0.050", "0.05"), ("0.1234561,0.1234564", "0.123456")],
+)
+def test_margins_with_the_same_report_column_are_refused(tmp_path, capsys, via, margins, label):
+    """Two margins that print alike would give report.csv two n(label)
+    columns and report.json repeated plan rows."""
+    args = ["run", "--input", DATA / "wire.bench", "--out", tmp_path / "o"]
+    if via == "flag":
+        args += ["--margins", margins]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"margins = {margins}\n")
+        args += ["--config", cfg]
+    assert run_cli(args) == EXIT_PARSE
+    err = capsys.readouterr().err
+    first, second = (float(m) for m in margins.split(","))
+    assert f"margins {first} and {second}" in err and f"n({label})" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_zero_conflict_cap_is_valid(tmp_path):
     args = ["run", "--input", DATA / "wire.bench", "--out", tmp_path / "o", "--conflict-cap", "0"]
     assert run_cli(args) == EXIT_OK

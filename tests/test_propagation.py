@@ -1,3 +1,5 @@
+import io
+import pickle
 from itertools import combinations
 
 import pytest
@@ -5,7 +7,7 @@ import pytest
 from set2seu import parse_bench, propagation
 from set2seu.cones import enumerate_fault_sites, site_support
 from set2seu.ffsets import FFSet, SetCollection, collect_static_sets, ffset
-from set2seu.netlist import build_circuit
+from set2seu.netlist import Circuit, build_circuit
 from set2seu.oracle import _eval_gate, exhaustive_patterns, simulate
 from set2seu.propagation import (
     SIM_SUPPORT_LIMIT,
@@ -317,15 +319,19 @@ def test_parallel_jobs_match_serial(divergent3):
 
 @pytest.fixture
 def in_process_pool(monkeypatch):
-    """A stand-in for the worker pool that runs the units in this process;
-    the list of the worker counts it is asked for."""
+    """A stand-in for the worker pool that runs its initializer and the
+    units in this process; the list of the pools asked for, each with its
+    worker count, its `initargs` and the argument tuples given to `map`."""
     import concurrent.futures
 
-    asked = []
+    pools = []
 
     class InProcessPool:
-        def __init__(self, max_workers):
-            asked.append(max_workers)
+        def __init__(self, max_workers, initializer=None, initargs=()):
+            self.max_workers, self.initargs, self.mapped = max_workers, initargs, []
+            pools.append(self)
+            if initializer is not None:
+                initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -334,19 +340,46 @@ def in_process_pool(monkeypatch):
             return False
 
         def map(self, fn, *iterables):
-            return map(fn, *iterables)
+            mapped = list(zip(*iterables))
+            self.mapped += mapped
+            return [fn(*args) for args in mapped]
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    return asked
+    return pools
+
+
+def holds_circuit(obj) -> bool:
+    """Whether pickling `obj` pickles a `Circuit`."""
+    seen = []
+
+    class Spy(pickle.Pickler):
+        def persistent_id(self, o):
+            seen.append(isinstance(o, Circuit))
+
+    Spy(io.BytesIO()).dump(obj)
+    return any(seen)
 
 
 def test_worker_pool_is_capped_at_the_work_units(divergent3, in_process_pool):
     """A large `jobs` asks for no more workers than there are units of work."""
     sites = enumerate_fault_sites(divergent3)
-    units = _work_units(divergent3, [s for s in sites if s.static_ffs], 5000)
+    units = _work_units(divergent3, [s for s in sites if s.static_ffs])
     assert len(units) > 1
     assert analyze_sites(divergent3, sites, jobs=5000) == analyze_sites(divergent3, sites, jobs=1)
-    assert in_process_pool == [len(units)]
+    assert [p.max_workers for p in in_process_pool] == [len(units)]
+
+
+def test_circuit_goes_to_each_worker_once(in_process_pool):
+    """The pool's workers get the circuit when they start, and `map` sends
+    only the units and the limits."""
+    c = make_random_circuit(1, n_pis=6, n_ffs=24, n_gates=90, n_pos=2)
+    sites = enumerate_fault_sites(c)
+    assert analyze_sites(c, sites, jobs=2) == analyze_sites(c, sites, jobs=1)
+    (pool,) = in_process_pool
+    assert pool.initargs == (c,)
+    assert len(pool.mapped) > 1
+    assert not any(holds_circuit(args) for args in pool.mapped)
+    assert holds_circuit(pool.initargs)
 
 
 # -- hybrid engine: simulation for small regions, SAT for the rest ----------------
@@ -390,16 +423,15 @@ def test_hybrid_matches_sat_across_support_limit(seed):
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 3])
-def test_work_units_hold_one_support_each_and_split_sat_sites(jobs):
-    """A simulated unit holds every site of one support, or one of at most
-    `jobs` runs of them, and sweeps the union of its sites' regions; every
-    SAT-answered site is a unit of its own."""
+def test_work_units_hold_one_support_each_and_split_sat_sites(jobs, in_process_pool):
+    """A simulated unit holds every site of one support and sweeps the union
+    of their regions; every SAT-answered site is a unit of its own.  Any
+    `jobs` analyses these same units."""
     # seed 1 has supports shared by several regions and a SAT region of 2 sites
     c = make_random_circuit(1, n_pis=6, n_ffs=24, n_gates=90, n_pos=2)
     work = [s for s in enumerate_fault_sites(c) if s.static_ffs]
-    units = _work_units(c, work, jobs)
+    units = _work_units(c, work)
     assert sorted(s.site_net for _, u in units for _, s in u) == sorted(s.site_net for s in work)
-    runs: dict[tuple[int, ...], list[list[int]]] = {}
     sat_regions = []
     for swept, u in units:
         assert all(region == build_region(c, s) for region, s in u)
@@ -410,18 +442,14 @@ def test_work_units_hold_one_support_each_and_split_sat_sites(jobs):
         assert {region.support for region, _ in u} == {swept.support}
         gates = {g for region, _ in u for g in region.gates}
         assert swept.gates == tuple(g for g in c.topo_gates if g in gates)
-        runs.setdefault(swept.support, []).append([s.site_net for _, s in u])
-    for support, cut in runs.items():
-        mine = [s.site_net for s in work if site_support(c, s) == support]
-        assert len(cut) <= jobs
-        assert sorted(n for run in cut for n in run) == sorted(mine)
+        mine = [s.site_net for s in work if site_support(c, s) == swept.support]
+        assert sorted(s.site_net for _, s in u) == sorted(mine)
     shared = [u for swept, u in units if swept and len({r for r, _ in u}) > 1]
     assert shared
-    if jobs == 1:
-        assert all(len(cut) == 1 for cut in runs.values())
-    else:
-        assert any(len(cut) > 1 for cut in runs.values())
     assert len(set(sat_regions)) < len(sat_regions)
+    analyze_sites(c, work, jobs=jobs)
+    mapped = [unit for p in in_process_pool for unit, _, _ in p.mapped]
+    assert mapped == ([] if jobs == 1 else units)
 
 
 def local50():
@@ -483,18 +511,15 @@ def test_event_driven_difference_masks_match_full_resimulation(circuits):
 
 
 def test_jobs_give_the_same_results_in_the_same_order_on_corpus(in_process_pool):
-    """The `--jobs` cut of each support's sites changes no result, no result
-    order and no pattern order."""
-    cut = 0
+    """Analysing the units in a pool changes no result, no result order and
+    no pattern order."""
     for c in corpus(12345, 200, max_gates=40, max_ffs=8, max_pis=6):
         sites = enumerate_fault_sites(c)
-        work = [s for s in sites if s.static_ffs]
         serial = analyze_sites(c, sites, jobs=1)
         for jobs in (2, 3):
-            cut += len(_work_units(c, work, jobs)) > len(_work_units(c, work))
             parallel = analyze_sites(c, sites, jobs=jobs)
             assert list(parallel.items()) == list(serial.items())
-    assert cut > 100
+    assert len(in_process_pool) > 100   # runs with more than one unit
 
 
 def test_jobs_give_the_same_results_in_the_same_order_on_local50():
