@@ -17,6 +17,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
+from itertools import repeat
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 
@@ -122,41 +123,92 @@ def _json_chunks(o, nl: str):
     plus the indentation of o's own line.
 
     `json.dump` with an indent runs the pure-Python encoder.  This one uses
-    the C string escaper and joins a list of strings in one go.  A value of
-    any other type, or a dict with a non-str key, is left to `json.dumps`.
+    the C string escaper and writes each value that `_json_piece` covers,
+    such as a row of strings, integers and lists of them, in one piece; a
+    list, or a dict with str keys, of other values is written item by item.
+    A value of any other type, or a dict with a non-str key, is left to
+    `json.dumps`.
     """
+    text = _json_piece(o, nl)
+    if text is not None:
+        yield text
+        return
     t = type(o)
-    if t is str:
-        yield _encode_str(o)
-    elif t is int:
-        yield repr(o)
-    elif t is bool:
-        yield "true" if o else "false"
-    elif o is None:
-        yield "null"
-    elif (t is list or t is tuple) and o:
-        inner = nl + "  "
-        try:  # a list of strings in one piece; str subclasses encode as str
-            strings = f",{inner}".join(map(_encode_str, o))
-        except TypeError:  # an item that is not a string
-            sep = "[" + inner
-            for v in o:
-                yield sep
-                yield from _json_chunks(v, inner)
-                sep = "," + inner
-            yield nl + "]"
-        else:
-            yield f"[{inner}{strings}{nl}]"
-    elif t is dict and o and all(type(k) is str for k in o):
-        inner = nl + "  "
-        sep = "{" + inner
-        for k, v in o.items():
-            yield f"{sep}{_encode_str(k)}: "
-            yield from _json_chunks(v, inner)
-            sep = "," + inner
-        yield nl + "}"
+    if t is dict and all(type(k) is str for k in o):
+        heads, values, ends = (f"{_encode_str(k)}: " for k in o), o.values(), "{}"
+    elif t is list or t is tuple:
+        heads, values, ends = repeat(""), o, "[]"
     else:
         yield json.dumps(o, indent=2).replace("\n", nl)
+        return
+    inner = nl + "  "
+    sep = ends[0] + inner
+    for head, v in zip(heads, values):
+        yield sep + head
+        text = _json_piece(v, inner)
+        if text is None:
+            yield from _json_chunks(v, inner)
+        else:
+            yield text
+        sep = "," + inner
+    yield nl + ends[1]
+
+
+def _json_piece(o, nl: str) -> str | None:
+    """The whole text of `o` when it is a scalar (a str, an int, a bool or
+    None), a list of scalars, or a dict with str keys whose values are
+    those; else None."""
+    if type(o) is not dict:
+        return _flat_text(o, nl)
+    if not o:
+        return "{}"
+    inner = nl + "  "
+    parts = []
+    for k, v in o.items():
+        try:
+            key = _encode_str(k)
+        except TypeError:  # a key that is not a string
+            return None
+        text = _flat_text(v, inner)
+        if text is None:
+            return None
+        parts.append(f"{key}: {text}")
+    return f"{{{inner}{f',{inner}'.join(parts)}{nl}}}"
+
+
+_SCALARS = {
+    str: _encode_str,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _flat_text(o, nl: str) -> str | None:
+    """The text of a scalar or a list of scalars; else None.  A
+    `ffsets.MemberNames` list joins its members' encoded names, picked by
+    id, and a list of strings is joined in one go."""
+    t = type(o)
+    scalar = _SCALARS.get(t)
+    if scalar is not None:
+        return scalar(o)
+    if not (t is list or t is tuple or t is ffsets.MemberNames):
+        return None
+    if not o:
+        return "[]"
+    inner = nl + "  "
+    sep = "," + inner
+    if t is ffsets.MemberNames:
+        body = sep.join(ffsets.pick(o.encoded, o.ids))
+    else:
+        try:  # str subclasses encode as str
+            body = sep.join(map(_encode_str, o))
+        except TypeError:  # an item that is not a string
+            try:
+                body = sep.join([_SCALARS[type(v)](v) for v in o])
+            except KeyError:  # an item that is not a scalar
+                return None
+    return f"[{inner}{body}{nl}]"
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -183,11 +235,11 @@ def load_circuit(cfg: RunConfig) -> netlist.Circuit:
 
 
 def sets_json(c: netlist.Circuit, static: ffsets.SetCollection) -> dict:
-    per_cone = ffsets.collect_cone_sets(c)
-    cone_rows = [
-        {"cone": f.name, "members": per_cone.member_names(s), "multiplicity": s.multiplicity}
-        for f, (_, s) in zip(c.flipflops, per_cone.raw_sets)
-    ]
+    cone_rows = []
+    for f in c.flipflops:
+        ids = cones.cone_ff_set(c, f.id)
+        members = ffsets.MemberNames(ids, static)
+        cone_rows.append({"cone": f.name, "members": members, "multiplicity": len(ids)})
     # each raw row points at its set's row in "sets", so a set's names are written once
     index = {s: i for i, s in enumerate(static.unique_sets)}
     return {
@@ -262,8 +314,10 @@ def _reading(path: Path):
 
 def static_from_json(data: dict, path: Path) -> ffsets.SetCollection:
     """Inverse of sets_json's "raw" rows: each site with the set its index
-    points at.  Each set's names are read once, and its "sites" must be the
-    raw rows that point at it, in order."""
+    points at.  Each set's names are read once and may not repeat; its
+    "sites" must be the raw rows that point at it, in order, and its
+    "multiplicity", like "num_sets", "num_superset" and "max_multiplicity",
+    must be the count that the rows give."""
     ff_names = tuple(_json_list(data["ffs"], path, "'ffs'"))
     if not all(isinstance(n, str) for n in ff_names):
         raise ValueError(f"{path}: 'ffs' holds a flip-flop name that is not a string")
@@ -286,15 +340,33 @@ def static_from_json(data: dict, path: Path) -> ffsets.SetCollection:
                 f"{path}: site '{site}' points at set {json.dumps(k)}, not an index into 'sets'"
             )
         if k not in parsed:
-            parsed[k] = _read_ffset(idx, set_rows[k]["members"], path, site)
+            names = set_rows[k]["members"]
+            parsed[k] = _read_ffset(idx, names, path, site)
+            if parsed[k].multiplicity != len(names):
+                twice = next(n for n in names if names.count(n) > 1)
+                raise ValueError(f"{path}: set {k} lists flip-flop '{twice}' twice")
             sites_of[k] = []
         sites_of[k].append(site)
         raw.append((site, parsed[k]))
     _check_unique((ref for ref, _ in raw), path, "site")
     for k, row in enumerate(set_rows):
-        if row["sites"] != sites_of.get(k):
+        if k not in sites_of or row["sites"] != sites_of[k]:
             raise ValueError(f"{path}: the sites of set {k} are not the raw rows that point at it")
-    return ffsets.SetCollection(ff_names, tuple(raw))
+        _check_count(row["multiplicity"], parsed[k].multiplicity, path, f"multiplicity of set {k}")
+    static = ffsets.SetCollection(ff_names, tuple(raw))
+    for key, count in (
+        ("num_sets", static.num_sets),
+        ("num_superset", static.num_unique),
+        ("max_multiplicity", static.max_multiplicity),
+    ):
+        _check_count(data[key], count, path, f"'{key}'")
+    return static
+
+
+def _check_count(value, count: int, path, what: str) -> None:
+    """`value`, read from `path`, must be the integer `count` that the rows give."""
+    if type(value) is not int or value != count:
+        raise ValueError(f"{path}: {what} is {json.dumps(value)}, but the rows give {count}")
 
 
 # (complete, overflow, unknown) as enumerate_patterns sets them: proved

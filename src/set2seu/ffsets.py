@@ -9,6 +9,9 @@ deliberately retained (only exact duplicates are removed).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from json.encoder import encode_basestring_ascii as _encode_str
+from operator import itemgetter, lt
 
 from .cones import FaultSite, cone_ff_set
 from .netlist import Circuit
@@ -16,15 +19,25 @@ from .netlist import Circuit
 
 @dataclass(frozen=True, order=True)
 class FFSet:
-    """Sorted, unique, nonempty tuple of flip-flop ids."""
+    """Sorted, unique, nonempty tuple of flip-flop ids.
+
+    The hash is computed once: collections, their origins and the row
+    index of `sets.json` look sets of hundreds of members up many times.
+    """
 
     members: tuple[int, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.members:
+        m = self.members
+        if not m:
             raise ValueError("FF set must be nonempty")
-        if list(self.members) != sorted(set(self.members)):
+        if not all(map(lt, m, m[1:])):
             raise ValueError("FF set members must be sorted and unique")
+        object.__setattr__(self, "_hash", hash(m))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def multiplicity(self) -> int:
@@ -69,21 +82,51 @@ class SetCollection:
     def max_multiplicity(self) -> int:
         return max((s.multiplicity for s in self.unique_sets), default=0)
 
-    def member_names(self, s: FFSet) -> list[str]:
-        return [self.ff_names[f] for f in s.members]
+    @cached_property
+    def encoded_names(self) -> tuple[str, ...]:
+        """Each flip-flop name as a JSON string, encoded once."""
+        return tuple(map(_encode_str, self.ff_names))
+
+
+class MemberNames(list):
+    """The names of flip-flops `ids` of collection `coll`, as a plain JSON
+    list.  It also keeps `ids` and `encoded`, the collection's JSON string
+    of every name, so that a writer joins encoded names picked by id
+    instead of encoding each member again."""
+
+    __slots__ = ("ids", "encoded")
+
+    def __init__(self, ids: tuple[int, ...], coll: SetCollection):
+        super().__init__(pick(coll.ff_names, ids))
+        self.ids = ids
+        self.encoded = coll.encoded_names
+
+
+def pick(table, ids: tuple[int, ...]) -> tuple:
+    """`table[i]` for each i of `ids`, in one C-level call."""
+    if len(ids) > 1:
+        return itemgetter(*ids)(table)
+    return tuple(table[i] for i in ids)  # itemgetter(i) gives a bare item, itemgetter() fails
 
 
 def collect_static_sets(c: Circuit, sites: list[FaultSite]) -> SetCollection:
     """One raw set per fault site; po_only sites (empty sets) are skipped.
-    Sites with equal `static_ffs` share one FFSet."""
+
+    Sites that share one `static_ffs` tuple, as `enumerate_fault_sites`
+    gives every site of one flip-flop set, share one FFSet, so each set is
+    checked and hashed once; the lookup goes by the tuple's identity, which
+    `sites` keeps alive, instead of hashing its members at every site.
+    Equal tuples of different identity get equal FFSets, which the
+    collection merges.
+    """
     names = tuple(f.name for f in c.flipflops)
-    shared: dict[tuple[int, ...], FFSet] = {}
+    shared: dict[int, FFSet] = {}  # id of a static_ffs tuple -> its FFSet
     raw = []
     for s in sites:
         if s.static_ffs:
-            ffs = shared.get(s.static_ffs)
+            ffs = shared.get(id(s.static_ffs))
             if ffs is None:
-                ffs = shared[s.static_ffs] = FFSet(s.static_ffs)
+                ffs = shared[id(s.static_ffs)] = FFSet(s.static_ffs)
             raw.append((c.net_names[s.site_net], ffs))
     return SetCollection(names, tuple(raw))
 
@@ -98,7 +141,7 @@ def collect_cone_sets(c: Circuit) -> SetCollection:
 def collection_to_json(coll: SetCollection) -> list[dict]:
     return [
         {
-            "members": coll.member_names(s),
+            "members": MemberNames(s.members, coll),
             "multiplicity": s.multiplicity,
             "sites": list(coll.origins[s]),
         }
@@ -107,9 +150,10 @@ def collection_to_json(coll: SetCollection) -> list[dict]:
 
 
 def collection_to_csv(coll: SetCollection) -> str:
+    names = coll.ff_names
     lines = ["members,multiplicity,sites"]
     for s in coll.unique_sets:
-        members = " ".join(coll.member_names(s))
+        members = " ".join(pick(names, s.members))
         sites = " ".join(coll.origins[s])
         lines.append(f"{members},{s.multiplicity},{sites}")
     return "\n".join(lines) + "\n"

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from set2seu import cli, propagation
+from set2seu import cli, ffsets, propagation
 from set2seu.cli import EXIT_MISSING_STAGE, EXIT_OK, EXIT_PARSE, RunConfig, main, run_propagation
 from set2seu.cones import enumerate_fault_sites
 from set2seu.netlist import to_bench
@@ -325,7 +325,8 @@ def _bad_set_index(a, b):
 
 def _set_sites_mismatch(a, b):
     """A set's `sites` that differ from the raw rows that point at it: one
-    site dropped from its set, or one raw row pointing at another set."""
+    site dropped from its set, one raw row pointing at another set, or a
+    set that no raw row points at, with null `sites`."""
 
     def dropped(data):
         data["sets"][data["raw"][0]["set"]]["sites"].pop()
@@ -334,10 +335,41 @@ def _set_sites_mismatch(a, b):
         row = data["raw"][0]
         row["set"] = (row["set"] + 1) % len(data["sets"])
 
+    def unused(data):
+        data["sets"].append({"members": ["s0"], "multiplicity": 1, "sites": None})
+
     return {
         _edited_sets(b, name, edit): ["sets.json", "sites of set", "raw rows that point at it"]
-        for name, edit in (("dropped", dropped), ("moved", moved))
+        for name, edit in (("dropped", dropped), ("moved", moved), ("unused", unused))
     }
+
+
+def _repeated_set_member(a, b):
+    """The last set of b01ish, which holds s0, lists s0 a second time."""
+    out = _edited_sets(b, "repeated_member", lambda d: d["sets"][-1]["members"].append("s0"))
+    last = len(read_json(b / "sets.json")["sets"]) - 1
+    return {out: ["sets.json", f"set {last} lists flip-flop 's0' twice"]}
+
+
+def _wrong_counts(a, b):
+    """A count in sets.json that the rows do not give: the last set's
+    multiplicity, or one of the summary counts, a run each."""
+    data = read_json(b / "sets.json")
+    last = len(data["sets"]) - 1
+    size = data["sets"][-1]["multiplicity"]
+    cases = [
+        ("multiplicity", lambda d: d["sets"][-1].update(multiplicity=99),
+         f"multiplicity of set {last} is 99, but the rows give {size}"),
+        ("multiplicity_text", lambda d: d["sets"][-1].update(multiplicity=str(size)),
+         f'multiplicity of set {last} is "{size}"'),
+        ("num_sets", lambda d: d.update(num_sets=12345),
+         f"'num_sets' is 12345, but the rows give {data['num_sets']}"),
+        ("num_superset", lambda d: d.update(num_superset=12345),
+         f"'num_superset' is 12345, but the rows give {data['num_superset']}"),
+        ("max_multiplicity", lambda d: d.update(max_multiplicity=77),
+         f"'max_multiplicity' is 77, but the rows give {data['max_multiplicity']}"),
+    ]
+    return {_edited_sets(b, name, edit): ["sets.json", text] for name, edit, text in cases}
 
 
 @pytest.mark.parametrize(
@@ -359,6 +391,8 @@ def _set_sites_mismatch(a, b):
         _old_sets_layout,
         _bad_set_index,
         _set_sites_mismatch,
+        _repeated_set_member,
+        _wrong_counts,
     ],
     ids=[
         "swapped",
@@ -377,6 +411,8 @@ def _set_sites_mismatch(a, b):
         "old_sets_layout",
         "bad_set_index",
         "set_sites_mismatch",
+        "repeated_set_member",
+        "wrong_counts",
     ],
 )
 def test_report_rejects_mismatched_artifacts(tmp_path, corrupt):
@@ -705,6 +741,34 @@ def test_write_json_matches_json_dump(tmp_path, value):
     assert path.read_text() == json.dumps(value, indent=2) + "\n"
 
 
+def _names(*ids):
+    """The names of flip-flops `ids` among three, two of which JSON escapes."""
+    return ffsets.MemberNames(ids, ffsets.SetCollection(("a", 'q"\\', "\u00e9"), ()))
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        [{"site": "a", "set": 0}, {"site": "b\n", "set": 10**40}],
+        ({"t": True, "f": False, "n": None, "s": _Str("x")},),
+        {"k": [1, "a", True, None], "e": [], "d": {}},
+        [{"a": ["x"], "b": [1.5]}, {"a": ["x"], "b": {"c": 1}}, {"a": "x", 2: "y"}],
+        [["a"], ["b", "c"], [1, [2]], (3,)],
+        [_names(0, 1, 2), _names(1), _names()],
+        {"cones": [{"cone": "a", "members": _names(0, 2), "multiplicity": 2}]},
+    ],
+)
+def test_write_json_rows_match_json_dump(tmp_path, value):
+    path = tmp_path / "v.json"
+    cli._write_json(path, value)
+    assert path.read_text() == json.dumps(value, indent=2) + "\n"
+
+
+def test_member_names_are_the_names_picked_by_id():
+    assert _names(0, 2) == ["a", "\u00e9"] and _names(1) == ['q"\\'] and _names() == []
+    assert json.loads(json.dumps(_names(2, 1))) == ["\u00e9", 'q"\\']
+
+
 @pytest.mark.parametrize("bench", sorted(p.name for p in DATA.glob("*.bench")))
 def test_json_artifacts_match_json_dump(tmp_path, bench):
     written = []
@@ -719,6 +783,41 @@ def test_json_artifacts_match_json_dump(tmp_path, bench):
         mp.setattr(cli, "_write_json", checking)
         assert run_cli(["run", "--input", DATA / bench, "--out", tmp_path]) == EXIT_OK
     assert written == ["cones.json", "sites.json", "sets.json", "patterns.json", "report.json"]
+
+
+# Names that JSON must escape: quotes, backslashes, a control character and
+# characters outside ASCII, one of them outside the Basic Multilingual Plane.
+# Flip-flop t\😀" is a one-member set and a one-flip-flop cone.
+ESCAPED_NAMES_BENCH = (
+    'INPUT(a"1)\nINPUT(b\\\\x)\nINPUT(\u00e9"\\)\nOUTPUT(y\\)\n'
+    'n"1 = AND(a"1, b\\\\x)\nq\u00e9 = DFF(n"1)\nm\\2 = OR(n"1, q\u00e9)\n'
+    'r"\\\\ = DFF(m\\2)\ny\\ = XOR(m\\2, r"\\\\)\n'
+    'd"\x01 = NOT(\u00e9"\\)\nt\\\U0001f600" = DFF(d"\x01)\n'
+)
+
+
+def test_names_that_need_json_escaping(tmp_path):
+    src = tmp_path / "escaped.bench"
+    src.write_text(ESCAPED_NAMES_BENCH)
+    out = tmp_path / "out"
+    assert run_cli(["run", "--input", src, "--out", out]) == EXIT_OK
+    for name in ("cones.json", "sites.json", "sets.json", "patterns.json", "report.json"):
+        text = (out / name).read_text()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n", name
+    sets = read_json(out / "sets.json")
+    single = 't\\\U0001f600"'
+    assert sets["ffs"] == ["q\u00e9", 'r"\\\\', single]
+    assert sets["cones"][2] == {"cone": single, "members": [single], "multiplicity": 1}
+    assert [r["members"] for r in sets["sets"]] == [['r"\\\\'], [single], ["q\u00e9", 'r"\\\\']]
+    assert (out / "sets.csv").read_text() == (
+        "members,multiplicity,sites\n"
+        'r"\\\\,1,m\\2\n'
+        't\\\U0001f600",1,d"\x01\n'
+        'q\u00e9 r"\\\\,2,n"1\n'
+    )
+    report = (out / "report.csv").read_text()
+    assert run_cli(["report", "--out", out]) == EXIT_OK
+    assert (out / "report.csv").read_text() == report
 
 
 def test_all_nets_mode_runs(tmp_path):

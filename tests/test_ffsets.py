@@ -1,4 +1,6 @@
+import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -29,6 +31,21 @@ def test_ffset_validation():
         FFSet((2, 1))
     with pytest.raises(ValueError):
         FFSet((1, 1))
+
+
+def test_ffset_hash_is_computed_once():
+    class Counted(tuple):
+        calls = 0
+
+        def __hash__(self):
+            Counted.calls += 1
+            return tuple.__hash__(self)
+
+    s = FFSet(Counted((0, 2, 3)))
+    for _ in range(3):
+        assert hash(s) == hash((0, 2, 3))
+    assert Counted.calls == 1
+    assert s == FFSet((0, 2, 3)) and repr(s) == "FFSet(members=(0, 2, 3))"
 
 
 def test_affected_cone_rows():
@@ -77,6 +94,16 @@ def test_collect_static_shares_one_ffset_per_distinct_set(b01ish):
         assert sum(t is s for _, t in sc.raw_sets) == len(sc.origins[s])
 
 
+def test_collect_static_merges_equal_sets_held_in_distinct_tuples(b01ish):
+    sites = [s for s in enumerate_fault_sites(b01ish) if s.static_ffs]
+    copies = [replace(s, static_ffs=tuple(list(s.static_ffs))) for s in sites]
+    assert all(a.static_ffs is not b.static_ffs for a, b in zip(sites, copies))
+    shared, distinct = collect_static_sets(b01ish, sites), collect_static_sets(b01ish, copies)
+    assert distinct.raw_sets == shared.raw_sets
+    assert distinct.unique_sets == shared.unique_sets and distinct.origins == shared.origins
+    assert collection_to_csv(distinct) == collection_to_csv(shared)
+
+
 def test_collect_cone_sets_chain(cone_chain):
     sc = collect_cone_sets(cone_chain)
     rows = [(ref, s.members) for ref, s in sc.raw_sets]
@@ -96,3 +123,15 @@ def test_json_and_csv_views():
     csv = collection_to_csv(c)
     assert csv.splitlines()[0] == "members,multiplicity,sites"
     assert "A B,2,s1 s2" in csv
+
+
+def test_json_members_are_names_that_keep_their_ids():
+    c = coll([("s1", [0, 2]), ("s2", [3])])
+    rows = collection_to_json(c)
+    assert rows == [
+        {"members": ["D"], "multiplicity": 1, "sites": ["s2"]},
+        {"members": ["A", "C"], "multiplicity": 2, "sites": ["s1"]},
+    ]
+    assert [r["members"].ids for r in rows] == [(3,), (0, 2)]
+    assert json.loads(json.dumps(rows)) == rows
+    assert collection_to_csv(c) == "members,multiplicity,sites\nD,1,s2\nA C,2,s1\n"
