@@ -11,6 +11,7 @@ the head's achievable upset patterns over-approximate the region's.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import compress
 
@@ -89,6 +90,13 @@ def _decode_mask(mask: int) -> tuple[int, ...]:
     return tuple(compress(range(mask.bit_length()), bits))
 
 
+def _select(items: Sequence[int], mask: int) -> tuple[int, ...]:
+    """The items at the set bits of `mask` (nonnegative), in order, picked
+    as `_decode_mask` picks indices."""
+    bits = bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
+    return tuple(compress(items, bits))
+
+
 def _region_heads(c: Circuit) -> list[int]:
     """Map each net to its fan-out-free region head.
 
@@ -156,7 +164,13 @@ def _make_site(
 
 
 def relevant_closure(c: Circuit, site: FaultSite) -> frozenset[int]:
-    """Union of the affected FFs' cone closures (the analysis region)."""
+    """Union of the affected FFs' cone closures (the analysis region), from
+    one scan of every net's `ff_reach`.
+
+    The engine reads its regions off `Circuit.cone_masks` instead
+    (`propagation.build_region`); the oracle keeps this scan as the
+    independent reference that construction is checked against.
+    """
     mask = sum(1 << f for f in site.static_ffs)
     return frozenset(net for net, r in enumerate(c.ff_reach) if r & mask)
 

@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from operator import and_, or_, xor
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 GATE_KINDS: dict[str, tuple[str, bool]] = {
     "AND": ("AND", False),
@@ -84,6 +84,16 @@ class CircuitStats:
     num_pis: int
     num_pos: int
     num_nets: int
+
+
+class ConeMasks(NamedTuple):
+    """Cones and fan-outs of a circuit as bitmasks.  A gate mask has bit i
+    for the gate `topo_gates[i]`, so decoding one lists its gates in
+    topological order; a net mask has bit n for net n."""
+
+    gates: tuple[int, ...]        # per flip-flop: the gates of its fan-in cone
+    support: tuple[int, ...]      # per flip-flop: net mask of the PI and FF Q nets of its cone
+    downstream: tuple[int, ...]   # per net: the gates it reaches through gates
 
 
 @dataclass(frozen=True)
@@ -213,6 +223,35 @@ class Circuit:
                 b |= back[n]
             back[g.output] = b
         return tuple(back[f.d_net] for f in self.flipflops)
+
+    @cached_property
+    def cone_masks(self) -> ConeMasks:
+        """The fan-in cone of every flip-flop and the fan-out of every net, as
+        bitmasks (see `ConeMasks`); one forward and one backward pass over
+        `topo_gates`."""
+        topo, table = self.topo_gates, self.gate_table
+        gates = [0] * self.num_nets       # gates of each net's fan-in cone
+        support = [0] * self.num_nets     # PI and FF Q nets of its cone closure
+        for n, (kind, _) in enumerate(self.driver):
+            if kind != "gate":
+                support[n] = 1 << n
+        for i, gid in enumerate(topo):
+            _, _, ins, out = table[gid]
+            g, s = 1 << i, 0
+            for n in ins:
+                g |= gates[n]
+                s |= support[n]
+            gates[out], support[out] = g, s
+        down = [0] * self.num_nets
+        for i in reversed(range(len(topo))):
+            _, _, ins, out = table[topo[i]]
+            d = down[out] | 1 << i
+            for n in ins:
+                down[n] |= d
+        d_nets = [f.d_net for f in self.flipflops]
+        return ConeMasks(
+            tuple(gates[d] for d in d_nets), tuple(support[d] for d in d_nets), tuple(down)
+        )
 
     def is_combinational(self, net: int) -> bool:
         """True for nets eligible as SET locations: PIs and gate outputs."""

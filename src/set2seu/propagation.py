@@ -4,11 +4,14 @@ A site's region is the union of the fan-in cones of the flip-flops it
 reaches (its `static_ffs`); the region's PIs and FF Q nets are its support.
 Sites with the same `static_ffs` share a region, and `analyze_sites` builds
 each region once (`build_region`: its support and its gates in topological
-order).  Each site then gets one miter (`build_miter`): the region's good
-circuit paired with a faulty copy of the site's fan-out in it, in which the
-site net is inverted for the whole cycle; every other net is shared.  Two
-exact engines evaluate that miter by bit-parallel simulation, one bit per
-support assignment, and differ only in which assignments they simulate:
+order).  Regions and fan-outs are read off bitmasks computed once per
+circuit (`Circuit.cone_masks`): a region is the OR of its flip-flops' cone
+masks, the region of several regions the OR of theirs.  Each site then gets
+one miter (`build_miter`): the region's good circuit paired with a faulty
+copy of the site's fan-out in it, in which the site net is inverted for the
+whole cycle; every other net is shared.  Two exact engines evaluate that
+miter by bit-parallel simulation, one bit per support assignment, and
+differ only in which assignments they simulate:
 
 - Simulation, when the support has at most SIM_SUPPORT_LIMIT nets: every
   assignment at once, in a 2**k-bit integer.  A net's good value depends
@@ -36,13 +39,14 @@ support assignment, and differ only in which assignments they simulate:
   solver proves that no unblocked vector is left.
 
 Both engines re-simulate only the site's faulty fan-out, and event-driven:
-a fan-out gate none of whose inputs differs from the good circuit is
-skipped, so a difference stops where it dies (as in concurrent fault simulation, Ulrich
-and Baker, IEEE Computer 1974).  One listing step serves both: each
-simulated batch (the sweep, or one flood wave) is split into
-classes of equal difference vectors at the flip-flops, and the vectors not
-listed yet are added.  Both give the same patterns; the sweep's cost grows
-as 2**k times the swept gates, so it is only used where that is small.
+only the nets whose faulty value differs from the good one are kept, and a
+fan-out gate none of whose inputs differs is skipped, so a difference stops
+where it dies (as in concurrent fault simulation, Ulrich and Baker, IEEE
+Computer 1974).  One listing step serves both: each simulated batch (the
+sweep, or one flood wave) is split into classes of equal difference vectors
+at the flip-flops, and the vectors not listed yet are added.  Both give the
+same patterns; the sweep's cost grows as 2**k times the swept gates, so it
+is only used where that is small.
 """
 
 from __future__ import annotations
@@ -52,8 +56,9 @@ from collections.abc import Container, Iterable
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import combinations, repeat
+from operator import or_
 
-from .cones import FaultSite, closure_support, relevant_closure
+from .cones import FaultSite, _decode_mask, _select
 from .ffsets import FFSet, SetCollection
 from .netlist import GATE_KINDS, Circuit
 from .solver import UNKNOWN, UNSAT, CdclSolver, to_dimacs
@@ -90,11 +95,14 @@ class Region:
 
     Every site that reaches exactly these flip-flops is analysed over it;
     the region of several sites' flip-flops together is swept for them all.
+    Its gates are also kept as a mask, bit i for `topo_gates[i]` (see
+    `Circuit.cone_masks`), so regions merge and intersect by mask operations.
     """
 
     static_ffs: tuple[int, ...]    # the flip-flops
     support: tuple[int, ...]       # its PI and FF Q nets, ascending
     gates: tuple[int, ...]         # its gate ids, in topological order
+    mask: int                      # the same gates as a mask
 
     @property
     def simulated(self) -> bool:
@@ -160,14 +168,20 @@ class PatternResult:
 
 
 def build_region(c: Circuit, site: FaultSite) -> Region:
-    """The region of the flip-flops `site` reaches, from one scan of the nets."""
+    """The region of the flip-flops `site` reaches: the OR of their cone
+    masks in `Circuit.cone_masks`, the gate mask decoded in topological
+    order and the support mask in ascending net order."""
     if not site.static_ffs:
         raise ValueError(
             f"site '{c.net_names[site.site_net]}' reaches no flip-flop; nothing to analyze"
         )
-    closure = relevant_closure(c, site)
-    gates = tuple(gid for gid in c.topo_gates if c.gates[gid].output in closure)
-    return Region(site.static_ffs, closure_support(c, closure), gates)
+    cm = c.cone_masks
+    mask = support = 0
+    for f in site.static_ffs:
+        mask |= cm.gates[f]
+        support |= cm.support[f]
+    gates = _select(c.topo_gates, mask)
+    return Region(site.static_ffs, _decode_mask(support), gates, mask)
 
 
 def build_miter(c: Circuit, site: FaultSite, region: Region | None = None) -> MiterInstance:
@@ -177,21 +191,17 @@ def build_miter(c: Circuit, site: FaultSite, region: Region | None = None) -> Mi
     their good one.
 
     Only the logic inside the affected flip-flops' fan-in cones matters for
-    the comparison, so both engines work over the region alone.
+    the comparison, so both engines work over the region alone.  Every gate
+    on a path from the site to a region gate reaches that gate's flip-flop,
+    so it is in the region too: the fan-out is the region's mask ANDed with
+    the site's downstream mask.
     """
     if region is None:
         region = build_region(c, site)
     elif region.static_ffs != site.static_ffs:
         raise ValueError("the region is of another flip-flop set than the site's")
-    table = c.gate_table
-    down = {site.site_net}
-    fanout = []
-    for gid in region.gates:
-        _, _, ins, out = table[gid]
-        if not down.isdisjoint(ins):
-            down.add(out)
-            fanout.append(gid)
-    return MiterInstance(site, region, tuple(fanout))
+    fanout = c.cone_masks.downstream[site.site_net] & region.mask
+    return MiterInstance(site, region, _select(c.topo_gates, fanout))
 
 
 # -- Tseitin encoding ------------------------------------------------------
@@ -388,27 +398,36 @@ def _difference_masks(c: Circuit, m: MiterInstance, good: dict[int, int], full: 
     under which its D pin differs between the good and the faulty circuit.
 
     `good` holds the good value of every region net.  Only the miter's
-    faulty fan-out is re-simulated with the site inverted, event-driven: a
-    gate none of whose inputs differs from its good value is skipped, so it
-    keeps its good value, copied from `good`.
+    faulty fan-out is re-simulated with the site inverted, event-driven:
+    only the faulty values that differ from the good ones are kept, and a
+    gate none of whose inputs differs is skipped.
     """
     site = m.site.site_net
     table = c.gate_table
-    faulty = dict(good)
-    faulty[site] ^= full
-    differs = {site}
-
-    def active():
-        # `_evaluate` stores a gate's value before it asks for the next gate
-        for gid in m.dup_gates:
-            _, _, ins, out = table[gid]
-            if not differs.isdisjoint(ins):
-                yield gid
-                if faulty[out] != good[out]:
-                    differs.add(out)
-
-    _evaluate(c, active(), faulty, full)
-    return [good[d] ^ faulty[d] for d in (c.flipflops[f].d_net for f in m.site.static_ffs)]
+    faulty = {site: good[site] ^ full}    # the nets whose faulty value differs
+    isdisjoint = faulty.keys().isdisjoint
+    for gid in m.dup_gates:
+        op, inverted, ins, out = table[gid]
+        if isdisjoint(ins):
+            continue
+        # the common arities without `reduce`; a BUFF or NOT of a differing
+        # input differs
+        if len(ins) == 1:
+            faulty[out] = faulty[ins[0]] ^ full if inverted else faulty[ins[0]]
+            continue
+        if len(ins) == 2:
+            a, b = ins
+            v = op(faulty[a] if a in faulty else good[a], faulty[b] if b in faulty else good[b])
+        else:
+            v = reduce(op, [faulty[n] if n in faulty else good[n] for n in ins])
+        if inverted:
+            v ^= full
+        if v != good[out]:
+            faulty[out] = v
+    return [
+        good[d] ^ faulty[d] if d in faulty else 0
+        for d in (c.flipflops[f].d_net for f in m.site.static_ffs)
+    ]
 
 
 def _neighbourhood_diffs(c: Circuit, m: MiterInstance, seeds: list[int]) -> tuple[list[int], int]:
@@ -626,13 +645,13 @@ def _work_units(c: Circuit, sites: list[FaultSite]) -> list[WorkUnit]:
             by_support.setdefault(region.support, []).extend((region, s) for s in group)
         else:
             sat_units.extend((None, [(region, s)]) for s in group)
-    topo_pos = {gid: i for i, gid in enumerate(c.topo_gates)}
     sim_units: list[WorkUnit] = []
     for support, members in by_support.items():
         regions = {r.static_ffs: r for r, _ in members}.values()
-        gates = sorted({g for r in regions for g in r.gates}, key=topo_pos.__getitem__)
+        mask = reduce(or_, (r.mask for r in regions))
         ffs = sorted({f for r in regions for f in r.static_ffs})
-        sim_units.append((Region(tuple(ffs), support, tuple(gates)), members))
+        region = Region(tuple(ffs), support, _select(c.topo_gates, mask), mask)
+        sim_units.append((region, members))
     return sim_units + sat_units
 
 

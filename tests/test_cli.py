@@ -691,24 +691,24 @@ def test_export_cnf_writes_dimacs_per_site(tmp_path):
 
 
 def test_export_cnf_builds_each_region_once(tmp_path):
-    """One closure scan per distinct `static_ffs` for the analysis and one
+    """One region build per distinct `static_ffs` for the analysis and one
     for the export, and the DIMACS text of a per-site export."""
     c = make_random_circuit(1, n_pis=6, n_ffs=24, n_gates=90, n_pos=2)
     sites = enumerate_fault_sites(c)
     work = [s for s in sites if s.static_ffs]
     regions = {s.static_ffs for s in work}
     assert len(regions) < len(work)
-    scanned = []
-    closure = propagation.relevant_closure
+    built = []
+    build = propagation.build_region
 
     def counting(circ, site):
-        scanned.append(site.static_ffs)
-        return closure(circ, site)
+        built.append(site.static_ffs)
+        return build(circ, site)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(propagation, "relevant_closure", counting)
+        mp.setattr(propagation, "build_region", counting)
         run_propagation(RunConfig(out=str(tmp_path), export_cnf=True), c, sites)
-    assert sorted(scanned) == sorted(2 * list(regions))
+    assert sorted(built) == sorted(2 * list(regions))
     for s in work:
         written = (tmp_path / "cnf" / f"site_{s.site_net}.cnf").read_text()
         assert written == propagation.export_site_cnf(c, s)

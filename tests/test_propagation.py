@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from set2seu import parse_bench, propagation
-from set2seu.cones import enumerate_fault_sites, site_support
+from set2seu.cones import closure_support, enumerate_fault_sites, relevant_closure, site_support
 from set2seu.ffsets import FFSet, SetCollection, collect_static_sets, ffset
 from set2seu.netlist import Circuit, build_circuit
 from set2seu.oracle import _eval_gate, exhaustive_patterns, simulate
@@ -457,6 +457,84 @@ def local50():
     return make_random_circuit(4242, n_pis=10, n_ffs=50, n_gates=500, n_pos=10, locality=25)
 
 
+# Gates listed out of topological order, so that gate ids and topological
+# positions differ, unlike in every circuit that make_random_circuit builds.
+OUT_OF_ORDER_BENCH = """
+INPUT(a)
+INPUT(b)
+INPUT(c)
+OUTPUT(z)
+q1 = DFF(y2)
+q2 = DFF(y1)
+q3 = DFF(x3)
+q4 = DFF(w)
+y2 = AND(x1, q1)
+y1 = OR(x2, x1, q4)
+x1 = NAND(a, x2)
+x2 = XOR(b, q3)
+x3 = NOT(x1)
+z = NOR(y1, c)
+w = XNOR(z, q2)
+"""
+
+
+def out_of_order():
+    c = parse_bench(OUT_OF_ORDER_BENCH)
+    assert c.topo_gates == (3, 2, 0, 1, 4, 5, 6)
+    return [c]
+
+
+def closure_scan(c, site):
+    """The site's support, region gates and faulty fan-out by the reference
+    construction: the closure scan of `relevant_closure`, its gates picked
+    from `topo_gates`, and a forward scan of them from the site."""
+    closure = relevant_closure(c, site)
+    gates = tuple(g for g in c.topo_gates if c.gates[g].output in closure)
+    down, fanout = {site.site_net}, []
+    for g in gates:
+        if not down.isdisjoint(c.gates[g].inputs):
+            down.add(c.gates[g].output)
+            fanout.append(g)
+    return closure_support(c, closure), gates, tuple(fanout)
+
+
+@pytest.mark.parametrize(
+    "circuits, mode",
+    [
+        pytest.param(
+            lambda: corpus(12345, 200, max_gates=40, max_ffs=8, max_pis=6), mode, id=f"corpus-{mode}"
+        )
+        for mode in ("collapsed", "all_nets")
+    ]
+    + [
+        pytest.param(lambda: [local50()], "collapsed", id="local50"),
+        pytest.param(
+            lambda: [make_random_circuit(7, n_pis=10, n_ffs=50, n_gates=500, n_pos=10)],
+            "collapsed",
+            id="wide50",
+        ),
+        pytest.param(out_of_order, "all_nets", id="out_of_order"),
+    ],
+)
+def test_mask_regions_and_miters_match_the_closure_scan(circuits, mode):
+    """`build_region` and `build_miter`, read off `Circuit.cone_masks`, give
+    every FF-reaching site the support, gates and faulty fan-out of the
+    closure scan, and the region's mask holds the topological positions of
+    its gates."""
+    checked = 0
+    for c in circuits():
+        pos = {g: i for i, g in enumerate(c.topo_gates)}
+        for site in enumerate_fault_sites(c, mode):
+            if not site.static_ffs:
+                continue
+            region = build_region(c, site)
+            m = build_miter(c, site, region)
+            assert (region.support, region.gates, m.dup_gates) == closure_scan(c, site)
+            assert region.mask == sum(1 << pos[g] for g in region.gates)
+            checked += 1
+    assert checked > 0
+
+
 SHARED_SWEEP_CIRCUITS = [
     pytest.param(lambda: corpus(12345, 200, max_gates=40, max_ffs=8, max_pis=6), id="corpus"),
     pytest.param(lambda: [local50()], id="local50"),
@@ -548,21 +626,20 @@ def test_jobs_give_the_same_results_in_the_same_order_on_local50():
     ],
 )
 def test_each_region_is_built_once(make):
-    """One closure scan per distinct `static_ffs`, shared by all its sites
+    """One region build per distinct `static_ffs`, shared by all its sites
     and by both engines."""
     c = make()
     sites = enumerate_fault_sites(c)
-    scanned = []
-    closure = propagation.relevant_closure
+    built = []
 
     def counting(circ, site):
-        scanned.append(site.static_ffs)
-        return closure(circ, site)
+        built.append(site.static_ffs)
+        return build_region(circ, site)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(propagation, "relevant_closure", counting)
+        mp.setattr(propagation, "build_region", counting)
         results = analyze_sites(c, sites, jobs=1)
-    assert sorted(scanned) == sorted({s.static_ffs for s in sites if s.static_ffs})
+    assert sorted(built) == sorted({s.static_ffs for s in sites if s.static_ffs})
     assert {r.engine for r in results.values()} == {"sim", "sat"}
 
 
