@@ -11,6 +11,7 @@ errors, 3 I/O errors, 4 missing upstream artifact.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import time
@@ -236,10 +237,13 @@ def load_circuit(cfg: RunConfig) -> netlist.Circuit:
 
 def sets_json(c: netlist.Circuit, static: ffsets.SetCollection) -> dict:
     cone_rows = []
+    named: dict[int, ffsets.MemberNames] = {}  # cones with one `cone_reach` share their names
     for f in c.flipflops:
-        ids = cones.cone_ff_set(c, f.id)
-        members = ffsets.MemberNames(ids, static)
-        cone_rows.append({"cone": f.name, "members": members, "multiplicity": len(ids)})
+        mask = c.cone_reach[f.id]
+        if mask not in named:
+            named[mask] = ffsets.MemberNames(cones.cone_ff_set(c, f.id), static)
+        members = named[mask]
+        cone_rows.append({"cone": f.name, "members": members, "multiplicity": len(members)})
     # each raw row points at its set's row in "sets", so a set's names are written once
     index = {s: i for i, s in enumerate(static.unique_sets)}
     return {
@@ -633,8 +637,18 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    """Run one subcommand; returns its exit code.
+
+    The cyclic garbage collector is paused for the run and left as it was
+    found.  The pipeline's structures hold no reference cycles, so a pass
+    would free nothing, while the collector would otherwise walk the
+    netlist, the sites and the sets hundreds of times, a run-time cost
+    that grows with the design.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
     try:
+        args = _build_parser().parse_args(argv)
         cfg = _merge_config(args)
         cfg.validate()
         if args.command == "report":
@@ -656,6 +670,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as e:
         log(f"error: {e}")
         return EXIT_PARSE
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

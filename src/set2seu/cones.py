@@ -53,7 +53,7 @@ def all_cones(c: Circuit) -> tuple[FaninCone, ...]:
     support: list[set[int]] = [set() for _ in c.flipflops]
     for net, mask in enumerate(c.ff_reach):
         is_gate = c.driver[net][0] == "gate"
-        for f in _decode_mask(mask):
+        for f in _select(c.ff_ids, mask):
             (members if is_gate else support)[f].add(net)
     return tuple(
         FaninCone(f.id, frozenset(members[f.id]), frozenset(support[f.id] - {f.d_net}))
@@ -65,7 +65,7 @@ def static_ff_set(c: Circuit, net: int) -> tuple[int, ...]:
     """Sorted FF ids reachable forward from `net` without crossing a FF."""
     if not 0 <= net < c.num_nets:
         raise NetlistError(f"unknown net id {net}")
-    return _decode_mask(c.ff_reach[net])
+    return _select(c.ff_ids, c.ff_reach[net])
 
 
 def cone_ff_set(c: Circuit, ff_id: int) -> tuple[int, ...]:
@@ -74,7 +74,7 @@ def cone_ff_set(c: Circuit, ff_id: int) -> tuple[int, ...]:
     Equals {g : cone(g) intersects cone(ff_id)}; this is the per-cone
     upset set (worst case over the cone's nets).
     """
-    return _decode_mask(c.cone_reach[ff_id])
+    return _select(c.ff_ids, c.cone_reach[ff_id])
 
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
@@ -158,7 +158,7 @@ def _make_site(
     mask = c.ff_reach[net]
     ffs = decoded.get(mask)
     if ffs is None:
-        ffs = decoded[mask] = _decode_mask(mask)
+        ffs = decoded[mask] = _select(c.ff_ids, mask)
     kind = FFR_TERMINAL if c.fanout_ffs[net] else STEM
     return FaultSite(site_net=net, kind=kind, represented_nets=region, static_ffs=ffs)
 

@@ -87,6 +87,12 @@ class SetCollection:
         """Each flip-flop name as a JSON string, encoded once."""
         return tuple(map(_encode_str, self.ff_names))
 
+    @cached_property
+    def member_names(self) -> tuple[MemberNames, ...]:
+        """The names of each unique set's members, picked once for both
+        `collection_to_json` and `collection_to_csv`."""
+        return tuple(MemberNames(s.members, self) for s in self.unique_sets)
+
 
 class MemberNames(list):
     """The names of flip-flops `ids` of collection `coll`, as a plain JSON
@@ -140,20 +146,15 @@ def collect_cone_sets(c: Circuit) -> SetCollection:
 
 def collection_to_json(coll: SetCollection) -> list[dict]:
     return [
-        {
-            "members": MemberNames(s.members, coll),
-            "multiplicity": s.multiplicity,
-            "sites": list(coll.origins[s]),
-        }
-        for s in coll.unique_sets
+        {"members": names, "multiplicity": s.multiplicity, "sites": list(coll.origins[s])}
+        for s, names in zip(coll.unique_sets, coll.member_names)
     ]
 
 
 def collection_to_csv(coll: SetCollection) -> str:
-    names = coll.ff_names
     lines = ["members,multiplicity,sites"]
-    for s in coll.unique_sets:
-        members = " ".join(pick(names, s.members))
+    for s, names in zip(coll.unique_sets, coll.member_names):
+        members = " ".join(names)
         sites = " ".join(coll.origins[s])
         lines.append(f"{members},{s.multiplicity},{sites}")
     return "\n".join(lines) + "\n"

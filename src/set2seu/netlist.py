@@ -128,6 +128,12 @@ class Circuit:
         return len(self.net_names)
 
     @cached_property
+    def ff_ids(self) -> tuple[int, ...]:
+        """0 .. number of flip-flops - 1: the ids a flip-flop mask selects from,
+        so that every decoded set shares these int objects."""
+        return tuple(range(len(self.flipflops)))
+
+    @cached_property
     def driver(self) -> tuple[tuple[str, int], ...]:
         """Per net: ("pi", -1) | ("gate", gate_id) | ("ff", ff_id)."""
         drv: list[tuple[str, int] | None] = [None] * self.num_nets
@@ -277,7 +283,7 @@ def build_circuit(
     primary_inputs: Iterable[int],
     primary_outputs: Iterable[int],
     excluded_names: Iterable[str] = (),
-    def_lines: dict[int, int] | None = None,
+    line_of: Callable[[int], int | None] | None = None,
     excluded_ids: Iterable[int] = (),
 ) -> Circuit:
     """Validate raw netlist pieces and assemble the Circuit.
@@ -285,38 +291,49 @@ def build_circuit(
     The one structural check of every netlist source.  gates: (kind, input
     net ids, output net id); flipflops: (name or None for the Q net's name,
     d, q).  Repeated primary outputs are kept once, in first-seen order.
-    def_lines maps net id -> source line for error reporting.
+    line_of maps a net id to the source line an error about it names; it is
+    called only for the net of an error.
     """
     names = tuple(net_names)
-    where = (def_lines or {}).get
-    ids = {n: i for i, n in enumerate(names)}
+    where = line_of or (lambda n: None)
+    ids = dict(zip(names, range(len(names))))
     if len(ids) != len(names):
         raise NetlistError("duplicate net names")
-    for n, nm in enumerate(names):
-        if not _NAME_RE.fullmatch(nm):
-            raise NetlistError(f"net name {nm!r} {_NOT_BENCH}", where(n))
+    if not all(map(_NAME_RE.fullmatch, names)):
+        n = next(n for n, nm in enumerate(names) if not _NAME_RE.fullmatch(nm))
+        raise NetlistError(f"net name {names[n]!r} {_NOT_BENCH}", where(n))
 
     gate_rows = [(k, tuple(ins), out) for k, ins, out in gates]
     ff_rows = list(flipflops)
     pis, pos, excl = tuple(primary_inputs), tuple(primary_outputs), list(excluded_ids)
-    refs = [("a primary input", pis), ("a primary output", pos), ("the excluded list", excl)]
-    refs += [(f"gate {i}", (*ins, out)) for i, (_, ins, out) in enumerate(gate_rows)]
-    refs += [(f"flip-flop {i}", (d, q)) for i, (_, d, q) in enumerate(ff_rows)]
-    for what, nets in refs:
-        for n in nets:
-            if type(n) is not int or not 0 <= n < len(names):
-                raise NetlistError(f"{what} refers to net {n!r}, not an id in [0, {len(names)})")
+    outs = [out for _, _, out in gate_rows]
+    qs = [q for _, _, q in ff_rows]
+    refs = [*pis, *pos, *excl, *outs, *qs, *(d for _, d, _ in ff_rows)]
+    for _, ins, _ in gate_rows:
+        refs += ins
+    # labels are built only to name the first bad reference
+    if refs and (set(map(type, refs)) != {int} or min(refs) < 0 or max(refs) >= len(names)):
+        labelled = [("a primary input", pis), ("a primary output", pos), ("the excluded list", excl)]
+        labelled += [(f"gate {i}", (*ins, out)) for i, (_, ins, out) in enumerate(gate_rows)]
+        labelled += [(f"flip-flop {i}", (d, q)) for i, (_, d, q) in enumerate(ff_rows)]
+        for what, nets in labelled:
+            for n in nets:
+                if type(n) is not int or not 0 <= n < len(names):
+                    raise NetlistError(f"{what} refers to net {n!r}, not an id in [0, {len(names)})")
     for nm in excluded_names:
         if nm not in ids:
             raise NetlistError(f"excluded net '{nm}' does not exist in the netlist")
         excl.append(ids[nm])
 
     # one driver per net, and every net driven
-    driven: set[int] = set()
-    for n in (*pis, *(out for _, _, out in gate_rows), *(q for _, _, q in ff_rows)):
-        if n in driven:
-            raise NetlistError(f"net '{names[n]}' has multiple drivers", where(n))
-        driven.add(n)
+    drivers = [*pis, *outs, *qs]
+    driven = set(drivers)
+    if len(driven) != len(drivers):
+        seen: set[int] = set()
+        for n in drivers:
+            if n in seen:
+                raise NetlistError(f"net '{names[n]}' has multiple drivers", where(n))
+            seen.add(n)
     ff_names = [names[q] if nm is None else nm for nm, _, q in ff_rows]
     seen_ffs: set[str] = set()
     for name, (_, d, q) in zip(ff_names, ff_rows):
@@ -329,9 +346,9 @@ def build_circuit(
         if name in seen_ffs:
             raise NetlistError(f"duplicate flip-flop name '{name}'", where(q))
         seen_ffs.add(name)
-    for n in range(len(names)):
-        if n not in driven:
-            raise NetlistError(f"net '{names[n]}' is never defined", where(n))
+    if len(driven) != len(names):
+        n = next(n for n in range(len(names)) if n not in driven)
+        raise NetlistError(f"net '{names[n]}' is never defined", where(n))
 
     # kind and arity
     for kind, ins, out in gate_rows:
@@ -381,19 +398,14 @@ def parse_bench(text: str, exclude: Iterable[str] = ()) -> Circuit:
         q = DFF(d)
         y = KIND(a, b, ...)      with KIND in AND OR NAND NOR XOR XNOR NOT BUFF
 
-    Only the syntax is checked here; `build_circuit` checks the netlist.
+    Only the syntax is checked here; `build_circuit` checks the netlist.  An
+    error about a net names the line of its last INPUT, gate or DFF
+    definition, or of its first mention when it has none.
     """
-    names: list[str] = []
-    ids: dict[str, int] = {}
-    def_lines: dict[int, int] = {}
-
-    def intern(name: str, line: int) -> int:
-        if name not in ids:
-            ids[name] = len(names)
-            names.append(name)
-            def_lines[ids[name]] = line
-        return ids[name]
-
+    ids: dict[str, int] = {}       # net ids in order of first mention
+    defined: dict[int, int] = {}   # net id -> line of its last definition
+    lines: list[int] = []          # the line of each statement ...
+    known: list[int] = []          # ... and the number of nets named up to it
     pis: list[int] = []
     pos: list[int] = []
     gates: list[tuple[str, tuple[int, ...], int]] = []
@@ -403,36 +415,39 @@ def parse_bench(text: str, exclude: Iterable[str] = ()) -> Circuit:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        m = _DECL_RE.match(line)
-        if m:
-            net = intern(m.group(2), lineno)
-            if m.group(1) == "INPUT":
-                def_lines[net] = lineno  # a second driver is reported at its own line
-                pis.append(net)
-            else:
-                pos.append(net)
-            continue
         m = _ASSIGN_RE.match(line)
         if m:
-            out_name, kind, args = m.group(1), m.group(2).upper(), m.group(3)
-            out = intern(out_name, lineno)
-            def_lines[out] = lineno  # point errors at the definition site
+            out_name, kind, args = m.groups()
+            out = ids.setdefault(out_name, len(ids))
+            defined[out] = lineno
             arg_names = [a.strip() for a in args.split(",")] if args.strip() else []
-            if any(not a for a in arg_names):
+            if not all(arg_names):
                 raise NetlistError("empty argument in gate input list", lineno)
-            arg_ids = tuple(intern(a, lineno) for a in arg_names)
+            arg_ids = tuple([ids.setdefault(a, len(ids)) for a in arg_names])
+            kind = kind.upper()
             if kind == "DFF":
                 if len(arg_ids) != 1:
-                    raise NetlistError(
-                        f"DFF '{out_name}' must have exactly 1 input", lineno
-                    )
+                    raise NetlistError(f"DFF '{out_name}' must have exactly 1 input", lineno)
                 ffs.append((out_name, arg_ids[0], out))
             else:
                 gates.append((kind, arg_ids, out))
-            continue
-        raise NetlistError(f"cannot parse statement: '{line}'", lineno)
+        else:
+            m = _DECL_RE.match(line)
+            if not m:
+                raise NetlistError(f"cannot parse statement: '{line}'", lineno)
+            net = ids.setdefault(m.group(2), len(ids))
+            if m.group(1) == "INPUT":
+                defined[net] = lineno
+                pis.append(net)
+            else:
+                pos.append(net)
+        lines.append(lineno)
+        known.append(len(ids))
 
-    return build_circuit(names, gates, ffs, pis, pos, exclude, def_lines)
+    def line_of(net: int) -> int:
+        return defined.get(net) or next(ln for ln, k in zip(lines, known) if k > net)
+
+    return build_circuit(ids, gates, ffs, pis, pos, exclude, line_of)
 
 
 def to_bench(c: Circuit) -> str:

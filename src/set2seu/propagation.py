@@ -510,19 +510,17 @@ def enumerate_patterns(
     m = build_miter(c, site, region)
     site_name = c.net_names[site.site_net]
     ffs = site.static_ffs
-    pos = {ff: j for j, ff in enumerate(ffs)}
-    found: dict[tuple[int, ...], int] = {}   # listed vector's FFs -> its code, bit j for ffs[j]
+    found: dict[tuple[int, ...], None] = {}   # the listed vectors' FFs, in listing order
 
-    def list_new(diffs: list[int], full: int, limit: int | None = None) -> list[tuple[int, int]]:
+    def list_new(
+        diffs: list[int], full: int, limit: int | None = None
+    ) -> list[tuple[tuple[int, ...], int]]:
         """List the vectors of one simulated batch not listed yet, in
-        `_canonical` order: the code of each and the lowest bit of the
+        `_canonical` order: the FFs of each and the lowest bit of the
         batch that gives it."""
         leaves = _distinct_patterns(diffs, ffs, full, limit)
-        leaves = sorted((leaf for leaf in leaves if leaf[0] not in found), key=_canonical)
-        new = []
-        for members, bit in leaves:
-            found[members] = v = sum(1 << pos[ff] for ff in members)
-            new.append((v, bit))
+        new = sorted((leaf for leaf in leaves if leaf[0] not in found), key=_canonical)
+        found.update(dict.fromkeys(members for members, _ in new))
         return new
 
     unknown = False
@@ -541,6 +539,8 @@ def enumerate_patterns(
         solver.add_clause(dvars)  # some difference must be observed
         svars = [f.good_vars[net] for net in m.region.support]
         k = len(svars)
+        pos = {ff: j for j, ff in enumerate(ffs)}
+        listed: set[int] = set()   # the listed vectors coded as ints, bit j for ffs[j]
         # every flood lists the model's own, unblocked vector, so the loop
         # stops after at most cap + 1 SAT answers
         while len(found) <= cap:
@@ -567,12 +567,12 @@ def enumerate_patterns(
             # of the previous wave's new vectors
             flooded: list[int] = []
             while (new := list_new(diffs, full)) and len(found) <= cap:
-                flooded += (v for v, _ in new)
+                flooded += (sum(1 << pos[ff] for ff in members) for members, _ in new)
                 seeds = [_ball_assignment(seeds, bit, k) for _, bit in new]
                 diffs, full = _neighbourhood_diffs(c, m, seeds)
             if len(found) > cap:
                 break
-            listed = set(found.values())
+            listed.update(flooded)
             covered: set[int] = set()
             for v in flooded:
                 if v in covered:

@@ -1,3 +1,4 @@
+import gc
 import json
 import re
 import shutil
@@ -463,6 +464,53 @@ def test_parse_error_exit_2(tmp_path, capsys):
     assert run_cli(["parse", "--input", bad, "--out", tmp_path / "o"]) == EXIT_PARSE
     err = capsys.readouterr().err
     assert "line 2" in err
+
+
+@pytest.fixture
+def collector():
+    """Restore the cyclic collector's state after a test that changes it."""
+    was = gc.isenabled()
+    yield
+    (gc.enable if was else gc.disable)()
+
+
+def _raise_runtime_error(*args):
+    raise RuntimeError("escapes main")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("outcome", ["ok", "netlist error", "exception"])
+def test_main_leaves_the_collector_as_found(tmp_path, monkeypatch, collector, enabled, outcome):
+    bench = DATA / "b01ish.bench"
+    if outcome == "netlist error":
+        bench = tmp_path / "bad.bench"
+        bench.write_text("INPUT(a)\ng = AND(a, zz)\n")
+    if outcome == "exception":
+        monkeypatch.setattr(cli, "run_pipeline", _raise_runtime_error)
+    (gc.enable if enabled else gc.disable)()
+    args = ["sets", "--input", bench, "--out", tmp_path / "o"]
+    if outcome == "exception":
+        with pytest.raises(RuntimeError, match="escapes main"):
+            run_cli(args)
+    else:
+        assert run_cli(args) == (EXIT_OK if outcome == "ok" else EXIT_PARSE)
+    assert gc.isenabled() is enabled
+
+
+def test_run_leaves_no_cyclic_garbage_that_grows_with_the_design(tmp_path, collector):
+    """The collector is paused during a run, so a structure with a reference
+    cycle would stay in memory until the next collection; what a run leaves
+    must not grow from b01ish (5 flip-flops) to wide50 (50)."""
+    wide50 = tmp_path / "wide50.bench"
+    wide50.write_text(to_bench(make_random_circuit(7, n_pis=10, n_ffs=50, n_gates=500, n_pos=10)))
+    gc.disable()
+    run_cli(["run", "--input", DATA / "b01ish.bench", "--out", tmp_path / "warm"])
+    gc.collect()
+    left = {}
+    for name, bench in (("b01ish", DATA / "b01ish.bench"), ("wide50", wide50)):
+        assert run_cli(["run", "--input", bench, "--out", tmp_path / name]) == EXIT_OK
+        left[name] = gc.collect()
+    assert left["wide50"] <= left["b01ish"] * 1.1
 
 
 def test_json_netlist_error_exit_2(tmp_path):

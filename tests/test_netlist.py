@@ -58,30 +58,54 @@ def test_excluded_counted_in_nets():
 
 
 def test_unknown_exclude_name_rejected():
-    with pytest.raises(NetlistError):
+    with pytest.raises(NetlistError) as ei:
         parse_bench(SMALLEST, exclude=["nope"])
+    assert "excluded net 'nope' does not exist" in str(ei.value)
+    assert ei.value.line is None
 
 
+# (text, fragment, line): each error names the line of the net's last INPUT,
+# gate or DFF definition, or of its first mention when it has none; syntax
+# errors name their own line.
+_BENCH_ERRORS = [
+    ("INPUT(a)\nINPUT(a)\n", "multiple drivers", 2),
+    ("INPUT(a)\na = NOT(a)\n", "multiple drivers", 2),
+    ("INPUT(a)\nINPUT(b)\nx = AND(a,b)\nx = OR(a,b)\n", "multiple drivers", 4),
+    ("x = NOT(a)\n\nINPUT(a)\nINPUT(a)\n", "net 'a' has multiple drivers", 4),
+    ("f = DFF(g)\nINPUT(a)\ng = NOT(f)\nf = DFF(a)\n", "net 'f' has multiple drivers", 4),
+    ("INPUT(a)\nx = AND(a,y)\ny = OR(a,x)\n", "cycle", 2),
+    ("INPUT(a)\nOUTPUT(x)\nx = NOT(x)\n", "cycle through net(s): x", 3),
+    ("INPUT(a)\nINPUT(b)\nx = NOT(a,b)\n", "exactly 1 input", 3),
+    ("INPUT(a)\nx = AND(a)\n", "at least 2 inputs", 2),
+    ("INPUT(a)\nx = AND(  )\n", "at least 2 inputs", 2),
+    ("INPUT(a)\nINPUT(b)\nf = DFF(a,b)\n", "exactly 1 input", 3),
+    ("INPUT(a)\nx = MAJ(a,a,a)\n", "unknown gate kind", 2),
+    ("q = DFF(q)\n", "feeds its own output", 1),
+    ("INPUT(a)\nOUTPUT(z)\n", "never defined", 2),
+    ("INPUT(a)\nOUTPUT(z)\nx = NOT(a)\n", "'z' is never defined", 2),
+    (
+        "INPUT(a)\nINPUT(b)\n\n# c\nx = AND(a,u)\nOUTPUT(x)\ny = OR(u,a)\n",
+        "'u' is never defined",
+        5,
+    ),
+    ("INPUT(a)\nx = NOT(a)\ny = DFF(x)\nz = DFF(q)\n", "'q' is never defined", 4),
+    ("INPUT(a)\nx = AND(a, b c)\nOUTPUT(x)\n", "net name 'b c' cannot be written", 2),
+    ("INPUT(a)\nINPUT(b)\nx = AND(a,,b)\n", "empty argument", 3),
+    ("INPUT(a)\nx = AND( , )\n", "empty argument", 2),
+    ("INPUT(a)\nwhat is this\n", "cannot parse", 2),
+    ("INPUT(a)\nx = AND(a, ( )\n", "cannot parse", 2),
+]
+
+
+# each case is named by its text and fragment
 @pytest.mark.parametrize(
-    "text,fragment",
-    [
-        ("INPUT(a)\nINPUT(a)\n", "multiple drivers"),
-        ("INPUT(a)\na = NOT(a)\n", "multiple drivers"),
-        ("INPUT(a)\nINPUT(b)\nx = AND(a,b)\nx = OR(a,b)\n", "multiple drivers"),
-        ("INPUT(a)\nx = AND(a,y)\ny = OR(a,x)\n", "cycle"),
-        ("INPUT(a)\nINPUT(b)\nx = NOT(a,b)\n", "exactly 1 input"),
-        ("INPUT(a)\nx = AND(a)\n", "at least 2 inputs"),
-        ("INPUT(a)\nINPUT(b)\nf = DFF(a,b)\n", "exactly 1 input"),
-        ("INPUT(a)\nx = MAJ(a,a,a)\n", "unknown gate kind"),
-        ("q = DFF(q)\n", "feeds its own output"),
-        ("INPUT(a)\nOUTPUT(z)\n", "never defined"),
-        ("INPUT(a)\nwhat is this\n", "cannot parse"),
-    ],
+    "text,fragment,line", _BENCH_ERRORS, ids=[f"{t}-{f}" for t, f, _ in _BENCH_ERRORS]
 )
-def test_validation_errors(text, fragment):
+def test_validation_errors(text, fragment, line):
     with pytest.raises(NetlistError) as ei:
         parse_bench(text)
     assert fragment in str(ei.value)
+    assert ei.value.line == line
 
 
 # the one gate of SMALLEST: g = AND(a, b)
