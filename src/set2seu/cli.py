@@ -119,62 +119,29 @@ def _write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
-def _json_chunks(o, nl: str):
+def _json_chunks(o, nl: str, levels: int = 2):
     """The text of `o` in the `indent=2` layout, in pieces; `nl` is a newline
-    plus the indentation of o's own line.
-
-    `json.dump` with an indent runs the pure-Python encoder.  This one uses
-    the C string escaper and writes each value that `_json_piece` covers,
-    such as a row of strings, integers and lists of them, in one piece; a
-    list, or a dict with str keys, of other values is written item by item.
-    A value of any other type, or a dict with a non-str key, is left to
-    `json.dumps`.
-    """
-    text = _json_piece(o, nl)
-    if text is not None:
-        yield text
-        return
+    plus the indentation of o's own line.  The items of a list, or of a dict
+    with str keys, down to `levels` levels, where the rows of every artifact
+    sit, are one piece each, rendered whole by `_json_text`."""
     t = type(o)
-    if t is dict and all(type(k) is str for k in o):
-        heads, values, ends = (f"{_encode_str(k)}: " for k in o), o.values(), "{}"
-    elif t is list or t is tuple:
+    if levels and o and (t is list or t is tuple):
         heads, values, ends = repeat(""), o, "[]"
+    elif levels and o and t is dict and all(isinstance(k, str) for k in o):
+        heads, values, ends = (f"{_encode_str(k)}: " for k in o), o.values(), "{}"
     else:
-        yield json.dumps(o, indent=2).replace("\n", nl)
+        yield _json_text(o, nl)
         return
     inner = nl + "  "
     sep = ends[0] + inner
     for head, v in zip(heads, values):
-        yield sep + head
-        text = _json_piece(v, inner)
-        if text is None:
-            yield from _json_chunks(v, inner)
+        if levels > 1:
+            yield sep + head
+            yield from _json_chunks(v, inner, levels - 1)
         else:
-            yield text
+            yield sep + head + _json_text(v, inner)
         sep = "," + inner
     yield nl + ends[1]
-
-
-def _json_piece(o, nl: str) -> str | None:
-    """The whole text of `o` when it is a scalar (a str, an int, a bool or
-    None), a list of scalars, or a dict with str keys whose values are
-    those; else None."""
-    if type(o) is not dict:
-        return _flat_text(o, nl)
-    if not o:
-        return "{}"
-    inner = nl + "  "
-    parts = []
-    for k, v in o.items():
-        try:
-            key = _encode_str(k)
-        except TypeError:  # a key that is not a string
-            return None
-        text = _flat_text(v, inner)
-        if text is None:
-            return None
-        parts.append(f"{key}: {text}")
-    return f"{{{inner}{f',{inner}'.join(parts)}{nl}}}"
 
 
 _SCALARS = {
@@ -185,31 +152,42 @@ _SCALARS = {
 }
 
 
-def _flat_text(o, nl: str) -> str | None:
-    """The text of a scalar or a list of scalars; else None.  A
-    `ffsets.MemberNames` list joins its members' encoded names, picked by
-    id, and a list of strings is joined in one go."""
+def _json_text(o, nl: str) -> str:
+    """The whole text of `o` in the `indent=2` layout; `nl` as in `_json_chunks`.
+
+    `json.dump` with an indent runs the pure-Python encoder.  This one uses
+    the C string escaper: a `ffsets.MemberNames` list joins its members'
+    encoded names, picked by id, and a list of strings is joined in one go.
+    A float, a value of any other type, or a dict with a key that is not a
+    string, is left to `json.dumps`.
+    """
     t = type(o)
-    scalar = _SCALARS.get(t)
-    if scalar is not None:
-        return scalar(o)
-    if not (t is list or t is tuple or t is ffsets.MemberNames):
-        return None
-    if not o:
-        return "[]"
     inner = nl + "  "
-    sep = "," + inner
-    if t is ffsets.MemberNames:
-        body = sep.join(ffsets.pick(o.encoded, o.ids))
-    else:
+    if t is dict:
+        if not o:
+            return "{}"
+        parts = []
+        try:
+            for k, v in o.items():
+                scalar = _SCALARS.get(type(v))
+                text = scalar(v) if scalar is not None else _json_text(v, inner)
+                parts.append(f"{_encode_str(k)}: {text}")
+            return f"{{{inner}{f',{inner}'.join(parts)}{nl}}}"
+        except TypeError:  # a key that is not a string
+            pass
+    elif t is list or t is tuple or t is ffsets.MemberNames:
+        if not o:
+            return "[]"
+        sep = "," + inner
+        if t is ffsets.MemberNames:
+            return f"[{inner}{sep.join(ffsets.pick(o.encoded, o.ids))}{nl}]"
         try:  # str subclasses encode as str
-            body = sep.join(map(_encode_str, o))
+            return f"[{inner}{sep.join(map(_encode_str, o))}{nl}]"
         except TypeError:  # an item that is not a string
-            try:
-                body = sep.join([_SCALARS[type(v)](v) for v in o])
-            except KeyError:  # an item that is not a scalar
-                return None
-    return f"[{inner}{body}{nl}]"
+            return f"[{inner}{sep.join([_json_text(v, inner) for v in o])}{nl}]"
+    elif t in _SCALARS:
+        return _SCALARS[t](o)
+    return json.dumps(o, indent=2).replace("\n", nl)
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -236,20 +214,17 @@ def load_circuit(cfg: RunConfig) -> netlist.Circuit:
 
 
 def sets_json(c: netlist.Circuit, static: ffsets.SetCollection) -> dict:
-    cone_rows = []
-    named: dict[int, ffsets.MemberNames] = {}  # cones with one `cone_reach` share their names
-    for f in c.flipflops:
-        mask = c.cone_reach[f.id]
-        if mask not in named:
-            named[mask] = ffsets.MemberNames(cones.cone_ff_set(c, f.id), static)
-        members = named[mask]
-        cone_rows.append({"cone": f.name, "members": members, "multiplicity": len(members)})
+    cone_sets = ffsets.collect_cone_sets(c)
+    named = dict(zip(cone_sets.unique_sets, cone_sets.member_names))
     # each raw row points at its set's row in "sets", so a set's names are written once
     index = {s: i for i, s in enumerate(static.unique_sets)}
     return {
         "circuit": asdict(c.stats()),
         "ffs": [f.name for f in c.flipflops],
-        "cones": cone_rows,
+        "cones": [
+            {"cone": f.name, "members": named[s], "multiplicity": s.multiplicity}
+            for f, (_, s) in zip(c.flipflops, cone_sets.raw_sets)
+        ],
         "num_sets": static.num_sets,
         "num_superset": static.num_unique,
         "max_multiplicity": static.max_multiplicity,
@@ -294,15 +269,19 @@ def _check_unique(names, path, what: str) -> None:
         seen.add(n)
 
 
-def _read_ffset(idx: dict[str, int], names: list[str], path, site: str) -> ffsets.FFSet:
-    """The FFSet of flip-flop `names`; anything but a nonempty list of known
-    names is an error in `path`."""
+def _read_ffset(idx: dict[str, int], names: list, path, site: str, owner: str) -> ffsets.FFSet:
+    """The FFSet of flip-flop `names`, which `owner` lists for `site`; anything
+    but a nonempty list of distinct known names is an error in `path`."""
     if not _json_list(names, path, f"a flip-flop list of site '{site}'"):
         raise ValueError(f"{path}: site '{site}' has an empty flip-flop list")
     try:
-        return ffsets.ffset(idx[n] for n in names)
+        s = ffsets.ffset(idx[n] for n in names)
     except KeyError as e:
         raise ValueError(f"{path}: site '{site}' names unknown flip-flop '{e.args[0]}'") from None
+    if s.multiplicity != len(names):
+        twice = next(n for n in names if names.count(n) > 1)
+        raise ValueError(f"{path}: {owner} lists flip-flop '{twice}' twice")
+    return s
 
 
 @contextmanager
@@ -344,11 +323,7 @@ def static_from_json(data: dict, path: Path) -> ffsets.SetCollection:
                 f"{path}: site '{site}' points at set {json.dumps(k)}, not an index into 'sets'"
             )
         if k not in parsed:
-            names = set_rows[k]["members"]
-            parsed[k] = _read_ffset(idx, names, path, site)
-            if parsed[k].multiplicity != len(names):
-                twice = next(n for n in names if names.count(n) > 1)
-                raise ValueError(f"{path}: set {k} lists flip-flop '{twice}' twice")
+            parsed[k] = _read_ffset(idx, set_rows[k]["members"], path, site, f"set {k}")
             sites_of[k] = []
         sites_of[k].append(site)
         raw.append((site, parsed[k]))
@@ -373,7 +348,7 @@ def _check_count(value, count: int, path, what: str) -> None:
         raise ValueError(f"{path}: {what} is {json.dumps(value)}, but the rows give {count}")
 
 
-# (complete, overflow, unknown) as enumerate_patterns sets them: proved
+# (complete, overflow, unknown) as a PatternResult gives them: proved
 # complete, stopped at the pattern cap, or stopped by the conflict budget
 _RESULT_FLAGS = {(True, False, False), (False, True, False), (False, True, True)}
 
@@ -398,7 +373,8 @@ def patterns_from_json(
             )
         reach = set(static_of[site].members)
         lists = _json_list(row["patterns"], path, f"'patterns' of site '{site}'")
-        patterns = tuple(_read_ffset(idx, p, path, site) for p in lists)
+        owner = f"a pattern of site '{site}'"
+        patterns = tuple(_read_ffset(idx, p, path, site, owner) for p in lists)
         _check_unique(
             (", ".join(static.ff_names[f] for f in p.members) for p in patterns),
             path,
@@ -414,8 +390,9 @@ def patterns_from_json(
         results[site] = propagation.PatternResult(
             site=site,
             patterns=tuple(propagation.DifferencePattern(site, p) for p in patterns),
+            overflow=flags["overflow"],
+            unknown=flags["unknown"],
             static_ffs=static_of[site],
-            **flags,
         )
     return results
 

@@ -42,21 +42,21 @@ class FaultSite:
 
 
 def all_cones(c: Circuit) -> tuple[FaninCone, ...]:
-    """Every flip-flop's fan-in cone, read off `Circuit.ff_reach`.
+    """Every flip-flop's fan-in cone, read off `Circuit.cone_masks`.
 
     A net lies in the cone closure of FF f iff it reaches f's D pin through
-    gates only.  member_nets: the D net plus the gate-output nets of the
-    closure.  support: its PI / FF-Q boundary nets (disjoint from
+    gates only.  member_nets: the D net plus the outputs of the cone's
+    gates.  support: its PI / FF-Q boundary nets (disjoint from
     member_nets; empty when the D net itself is the boundary).
     """
-    members: list[set[int]] = [{f.d_net} for f in c.flipflops]
-    support: list[set[int]] = [set() for _ in c.flipflops]
-    for net, mask in enumerate(c.ff_reach):
-        is_gate = c.driver[net][0] == "gate"
-        for f in _select(c.ff_ids, mask):
-            (members if is_gate else support)[f].add(net)
+    cm = c.cone_masks
+    outputs = [c.gates[g].output for g in c.topo_gates]
     return tuple(
-        FaninCone(f.id, frozenset(members[f.id]), frozenset(support[f.id] - {f.d_net}))
+        FaninCone(
+            f.id,
+            frozenset(_select(outputs, cm.gates[f.id])) | {f.d_net},
+            frozenset(_select(range(c.num_nets), cm.support[f.id])) - {f.d_net},
+        )
         for f in c.flipflops
     )
 
@@ -80,19 +80,12 @@ def cone_ff_set(c: Circuit, ff_id: int) -> tuple[int, ...]:
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
-def _decode_mask(mask: int) -> tuple[int, ...]:
-    """Indices of the set bits of `mask` (nonnegative), ascending.
+def _select(items: Sequence[int], mask: int) -> tuple[int, ...]:
+    """The items at the set bits of `mask` (nonnegative), in order.
 
-    The binary digits, least significant first, select the indices in one
+    The binary digits, least significant first, select the items in one
     C-level pass, so the cost per bit is not a Python step.
     """
-    bits = bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
-    return tuple(compress(range(mask.bit_length()), bits))
-
-
-def _select(items: Sequence[int], mask: int) -> tuple[int, ...]:
-    """The items at the set bits of `mask` (nonnegative), in order, picked
-    as `_decode_mask` picks indices."""
     bits = bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
     return tuple(compress(items, bits))
 
@@ -167,9 +160,9 @@ def relevant_closure(c: Circuit, site: FaultSite) -> frozenset[int]:
     """Union of the affected FFs' cone closures (the analysis region), from
     one scan of every net's `ff_reach`.
 
-    The engine reads its regions off `Circuit.cone_masks` instead
-    (`propagation.build_region`); the oracle keeps this scan as the
-    independent reference that construction is checked against.
+    The engine reads its regions (`propagation.build_region`) and its cones
+    (`all_cones`) off `Circuit.cone_masks` instead; the oracle keeps this
+    scan as the independent reference that construction is checked against.
     """
     mask = sum(1 << f for f in site.static_ffs)
     return frozenset(net for net, r in enumerate(c.ff_reach) if r & mask)
@@ -193,16 +186,14 @@ def site_support(c: Circuit, site: FaultSite) -> tuple[int, ...]:
 
 
 def cones_to_json(c: Circuit) -> list[dict]:
-    rows = []
-    for cone in all_cones(c):
-        rows.append(
-            {
-                "ff": c.flipflops[cone.ff_id].name,
-                "member_nets": sorted(c.net_names[n] for n in cone.member_nets),
-                "support": sorted(c.net_names[n] for n in cone.support),
-            }
-        )
-    return rows
+    return [
+        {
+            "ff": c.flipflops[cone.ff_id].name,
+            "member_nets": sorted(c.net_names[n] for n in cone.member_nets),
+            "support": sorted(c.net_names[n] for n in cone.support),
+        }
+        for cone in all_cones(c)
+    ]
 
 
 def sites_to_json(c: Circuit, sites: list[FaultSite]) -> list[dict]:

@@ -138,10 +138,14 @@ def collect_static_sets(c: Circuit, sites: list[FaultSite]) -> SetCollection:
 
 
 def collect_cone_sets(c: Circuit) -> SetCollection:
-    """One raw set per flip-flop cone (worst-case upset set of the cone)."""
-    names = tuple(f.name for f in c.flipflops)
-    raw = tuple((f"cone:{f.name}", FFSet(cone_ff_set(c, f.id))) for f in c.flipflops)
-    return SetCollection(names, raw)
+    """One raw set per flip-flop cone (worst-case upset set of the cone);
+    cones with one `cone_reach` mask share one FFSet, decoded and checked once."""
+    shared: dict[int, FFSet] = {}  # cone_reach mask -> its FFSet
+    for f, mask in enumerate(c.cone_reach):
+        if mask not in shared:
+            shared[mask] = FFSet(cone_ff_set(c, f))
+    raw = tuple((f"cone:{f.name}", shared[m]) for f, m in zip(c.flipflops, c.cone_reach))
+    return SetCollection(tuple(f.name for f in c.flipflops), raw)
 
 
 def collection_to_json(coll: SetCollection) -> list[dict]:

@@ -58,7 +58,7 @@ from functools import lru_cache, reduce
 from itertools import combinations, repeat
 from operator import or_
 
-from .cones import FaultSite, _decode_mask, _select
+from .cones import FaultSite, _select
 from .ffsets import FFSet, SetCollection
 from .netlist import GATE_KINDS, Circuit
 from .solver import UNKNOWN, UNSAT, CdclSolver, to_dimacs
@@ -139,13 +139,17 @@ class CnfFormula:
 class PatternResult:
     site: str
     patterns: tuple[DifferencePattern, ...]   # discovery order
-    complete: bool
     overflow: bool
     unknown: bool
     static_ffs: FFSet                          # fallback when overflow/unknown
     seconds: float = field(default=0.0, compare=False)  # wall time of the analysis
     engine: str = field(default="", compare=False)      # "sim" or "sat"; "" when read back
     solves: int = field(default=0, compare=False)       # SAT solve calls; 0 when simulated
+
+    @property
+    def complete(self) -> bool:
+        """Whether `patterns` are all of the site's patterns (no overflow)."""
+        return not self.overflow
 
     def effective_sets(self) -> tuple[FFSet, ...]:
         """Sets this site contributes to the optimized collection.
@@ -181,7 +185,7 @@ def build_region(c: Circuit, site: FaultSite) -> Region:
         mask |= cm.gates[f]
         support |= cm.support[f]
     gates = _select(c.topo_gates, mask)
-    return Region(site.static_ffs, _decode_mask(support), gates, mask)
+    return Region(site.static_ffs, _select(range(c.num_nets), support), gates, mask)
 
 
 def build_miter(c: Circuit, site: FaultSite, region: Region | None = None) -> MiterInstance:
@@ -587,7 +591,6 @@ def enumerate_patterns(
     return PatternResult(
         site=site_name,
         patterns=tuple(DifferencePattern(site_name, FFSet(ms)) for ms in list(found)[:cap]),
-        complete=not overflow,
         overflow=overflow,
         unknown=unknown,
         static_ffs=FFSet(site.static_ffs),

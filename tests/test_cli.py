@@ -275,9 +275,13 @@ def _repeated_site(a, b):
 
 def _repeated_pattern(a, b):
     """Site x of divergent.bench lists its pattern {f1} a second time, once
-    as it was and once with the name repeated, a run each."""
+    as it was and once with the name repeated, a run each.  The repeated
+    name is refused before the pattern can repeat {f1}."""
     expected = {}
-    for name, again in (("again", ["f1"]), ("doubled", ["f1", "f1"])):
+    for name, again, text in (
+        ("again", ["f1"], "site 'x' pattern 'f1' is listed twice"),
+        ("doubled", ["f1", "f1"], "a pattern of site 'x' lists flip-flop 'f1' twice"),
+    ):
         out = a.parent / name
         for cmd in ("sets", "propagate"):
             assert run_cli([cmd, "--input", DATA / "divergent.bench", "--out", out]) == EXIT_OK
@@ -287,8 +291,19 @@ def _repeated_pattern(a, b):
         assert ["f1"] in row["patterns"]
         row["patterns"].append(again)
         path.write_text(json.dumps(data))
-        expected[out] = ["patterns.json", "site 'x' pattern 'f1' is listed twice"]
+        expected[out] = ["patterns.json", text]
     return expected
+
+
+def _repeated_pattern_member(a, b):
+    """Site line1 of b01ish lists s0 twice in its first pattern."""
+    path = b / "patterns.json"
+    data = read_json(path)
+    row = next(r for r in data["sites"] if r["site"] == "line1")
+    assert row["patterns"][0] == ["s0"]
+    row["patterns"][0] = ["s0", "s0"]
+    path.write_text(json.dumps(data))
+    return {b: ["patterns.json", "a pattern of site 'line1' lists flip-flop 's0' twice"]}
 
 
 def _edited_sets(src, name, edit):
@@ -393,6 +408,7 @@ def _wrong_counts(a, b):
         _bad_set_index,
         _set_sites_mismatch,
         _repeated_set_member,
+        _repeated_pattern_member,
         _wrong_counts,
     ],
     ids=[
@@ -413,6 +429,7 @@ def _wrong_counts(a, b):
         "bad_set_index",
         "set_sites_mismatch",
         "repeated_set_member",
+        "repeated_pattern_member",
         "wrong_counts",
     ],
 )
@@ -781,6 +798,8 @@ class _List(list):
         0.1, [0.1, 1e300, -0.0, float("inf"), float("-inf"), float("nan")], {"x": [1, 2.5]},
         _Str("sub"), [_Str("a"), "b"], {"k": _Str("v")}, _List([1, "a"]), {"k": _List(["a", "b"])},
         ["a", 1], ["a", ["b", "c"]], [0, -7, 10**40],
+        {"a": [{"b": {1: [2]}}]}, [[["x", 1.5], {}], [[]]], {"a": {"b": {"c": [{"d": (1,)}]}}},
+        [[[{"k": _Str("v"), "l": _List([None])}]]], [{"a": [[{}], {"b": [True]}]}],
     ],
 )
 def test_write_json_matches_json_dump(tmp_path, value):
@@ -804,6 +823,9 @@ def _names(*ids):
         [["a"], ["b", "c"], [1, [2]], (3,)],
         [_names(0, 1, 2), _names(1), _names()],
         {"cones": [{"cone": "a", "members": _names(0, 2), "multiplicity": 2}]},
+        {"a": [{"b": {"c": _names(2, 0)}, "d": [_names(1), _names()]}]},
+        [[[_names(0, 1, 2), {"e": _names(2)}]], [{"f": [[_names(1)]]}]],
+        [{"g": {1: _names(0)}, "h": [{2: "x"}, 0.5]}],
     ],
 )
 def test_write_json_rows_match_json_dump(tmp_path, value):

@@ -6,13 +6,13 @@ from set2seu import parse_bench
 from set2seu.cones import (
     FFR_TERMINAL,
     STEM,
-    _decode_mask,
+    _select,
     all_cones,
     cone_ff_set,
     enumerate_fault_sites,
     static_ff_set,
 )
-from set2seu.netlist import NetlistError
+from set2seu.netlist import NetlistError, to_bench
 from set2seu.random_circuits import make_random_circuit
 
 
@@ -145,9 +145,40 @@ def test_collapsed_regions_partition_combinational_nets(seed):
     assert sorted(covered) == sorted(universe)  # each net exactly once
 
 
-@pytest.mark.parametrize("seed", range(8))
+def _wide50():
+    return make_random_circuit(7, n_pis=10, n_ffs=50, n_gates=500, n_pos=10)
+
+
+def _gates_reversed(c):
+    """`c` parsed back from its `.bench` text with the gate lines in reverse,
+    so that every gate is listed before the gates that drive it."""
+    lines = to_bench(c).splitlines()
+    gates = [i for i, line in enumerate(lines) if " = " in line and "DFF(" not in line]
+    for i, line in zip(gates, reversed([lines[i] for i in gates])):
+        lines[i] = line
+    out = parse_bench("\n".join(lines))
+    assert out.topo_gates != tuple(range(len(out.gates)))
+    return out
+
+
+DUALITY_CIRCUITS = {
+    "local50": lambda: make_random_circuit(
+        4242, n_pis=10, n_ffs=50, n_gates=500, n_pos=10, locality=25
+    ),
+    "wide50": _wide50,
+    "wide50_gates_reversed": lambda: _gates_reversed(_wide50()),
+}
+
+
+@pytest.mark.parametrize("seed", [*range(8), *DUALITY_CIRCUITS])
 def test_cone_reach_duality(seed):
-    c = make_random_circuit(seed * 7 + 1, n_pis=3, n_ffs=4, n_gates=15)
+    """The cones, static sets and per-cone sets read off the masks, against
+    the backward closure: on small circuits, on the local50 and wide50
+    designs, and on wide50 listed out of topological order."""
+    if seed in DUALITY_CIRCUITS:
+        c = DUALITY_CIRCUITS[seed]()
+    else:
+        c = make_random_circuit(seed * 7 + 1, n_pis=3, n_ffs=4, n_gates=15)
     closures = [backward_closure(c, f.id) for f in c.flipflops]
     for k, closure in zip(all_cones(c), closures):
         d = c.flipflops[k.ff_id].d_net
@@ -201,7 +232,8 @@ _rng = random.Random(2021)
     + [_rng.getrandbits(512) & _rng.getrandbits(512) & _rng.getrandbits(512)],
 )
 def test_decode_mask_lists_set_bits(mask):
-    assert _decode_mask(mask) == tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+    bits = range(mask.bit_length())
+    assert _select(bits, mask) == tuple(i for i in bits if mask >> i & 1)
 
 
 @pytest.mark.parametrize("mode", ["collapsed", "all_nets"])

@@ -868,7 +868,6 @@ def mk_result(site, vectors, static):
     return PatternResult(
         site=site,
         patterns=tuple(DifferencePattern(site, ffset(v)) for v in vectors),
-        complete=True,
         overflow=False,
         unknown=False,
         static_ffs=static,
