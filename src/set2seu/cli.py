@@ -215,7 +215,7 @@ def load_circuit(cfg: RunConfig) -> netlist.Circuit:
 
 def sets_json(c: netlist.Circuit, static: ffsets.SetCollection) -> dict:
     cone_sets = ffsets.collect_cone_sets(c)
-    named = dict(zip(cone_sets.unique_sets, cone_sets.member_names))
+    named = {s: ffsets.MemberNames(s.members, static) for s in cone_sets.unique_sets}
     # each raw row points at its set's row in "sets", so a set's names are written once
     index = {s: i for i, s in enumerate(static.unique_sets)}
     return {
@@ -416,13 +416,10 @@ def run_propagation(
     if cfg.export_cnf:
         cnf_dir = Path(cfg.out) / "cnf"
         cnf_dir.mkdir(parents=True, exist_ok=True)
-        regions: dict[tuple[int, ...], propagation.Region] = {}
+        regions = {ffs: propagation.build_region(c, ffs) for ffs in {s.static_ffs for s in work}}
         for s in work:
-            region = regions.get(s.static_ffs)
-            if region is None:
-                region = regions[s.static_ffs] = propagation.build_region(c, s)
             path = cnf_dir / f"site_{s.site_net}.cnf"
-            path.write_text(propagation.export_site_cnf(c, s, region))
+            path.write_text(propagation.export_site_cnf(c, s, regions[s.static_ffs]))
         log(f"propagate: exported {len(work)} DIMACS files to {cnf_dir}")
     return results
 

@@ -122,12 +122,9 @@ def enumerate_fault_sites(c: Circuit, mode: str = "collapsed") -> list[FaultSite
     ]
     sites: list[FaultSite] = []
     decoded: dict[int, tuple[int, ...]] = {}   # ff_reach mask -> its static_ffs
-    if mode == "all_nets":
-        for net in universe:
-            sites.append(_make_site(c, net, frozenset({net}), decoded))
-        return sites
-
-    heads = _region_heads(c)
+    # in all_nets mode every net heads a region of its own; an excluded net
+    # is never in `universe`, so it never heads one
+    heads = range(c.num_nets) if mode == "all_nets" else _region_heads(c)
     regions: dict[int, set[int]] = {}
     for net in universe:
         regions.setdefault(heads[net], set()).add(net)

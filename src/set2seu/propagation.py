@@ -1,24 +1,22 @@
 """Sensitizability analysis: which FF-upset combinations can a SET really cause.
 
-A site's region is the union of the fan-in cones of the flip-flops it
-reaches (its `static_ffs`); the region's PIs and FF Q nets are its support.
-Sites with the same `static_ffs` share a region, and `analyze_sites` builds
-each region once (`build_region`: its support and its gates in topological
-order).  Regions and fan-outs are read off bitmasks computed once per
-circuit (`Circuit.cone_masks`): a region is the OR of its flip-flops' cone
-masks, the region of several regions the OR of theirs.  Each site then gets
-one miter (`build_miter`): the region's good circuit paired with a faulty
-copy of the site's fan-out in it, in which the site net is inverted for the
-whole cycle; every other net is shared.  Two exact engines evaluate that
-miter by bit-parallel simulation, one bit per support assignment, and
-differ only in which assignments they simulate:
+The region of a set of flip-flops is the union of their fan-in cones
+(`build_region`: its support, the PIs and FF Q nets it reads, and its gates
+in topological order), the OR of their masks in `Circuit.cone_masks`.  Each
+site gets one miter (`build_miter`) over a region that holds the flip-flops
+it reaches (its `static_ffs`): the region's good circuit paired with a
+faulty copy of the site's fan-out in it, in which the site net is inverted
+for the whole cycle; every other net is shared.  Every such region gives
+the same fan-out: a gate downstream of the site that lies in any
+flip-flop's cone reaches a flip-flop the site reaches, so it lies in the
+site's own region too, and the site's D pins read only their own cones.
+Two exact engines evaluate that miter by bit-parallel simulation, one bit
+per support assignment, and differ only in which assignments they simulate:
 
 - Simulation, when the support has at most SIM_SUPPORT_LIMIT nets: every
-  assignment at once, in a 2**k-bit integer.  A net's good value depends
-  only on its fan-in cone and on where its support nets sit in the
-  support, so regions with the same support give every net they share the
-  same value: the good circuit is swept once per support, over the union
-  of those regions' gates, for all their sites.
+  assignment at once, in a 2**k-bit integer.  The sites whose own regions
+  have one support share one sweep of the good circuit, over the region of
+  all their flip-flops, which has that same support.
 - SAT otherwise.  The miter is Tseitin-encoded, with difference variables
   that compare the good and faulty values at each reachable flip-flop's D
   pin.  Each model the solver finds seeds a flood of simulation (after
@@ -56,7 +54,6 @@ from collections.abc import Container, Iterable
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import combinations, repeat
-from operator import or_
 
 from .cones import FaultSite, _select
 from .ffsets import FFSet, SetCollection
@@ -93,13 +90,12 @@ class DifferencePattern:
 class Region:
     """The union of the fan-in cones of a set of flip-flops.
 
-    Every site that reaches exactly these flip-flops is analysed over it;
-    the region of several sites' flip-flops together is swept for them all.
-    Its gates are also kept as a mask, bit i for `topo_gates[i]` (see
-    `Circuit.cone_masks`), so regions merge and intersect by mask operations.
+    Any site whose flip-flops it holds can be analysed over it.  Its gates
+    are also kept as a mask, bit i for `topo_gates[i]` (see
+    `Circuit.cone_masks`), so a miter intersects it by one mask operation.
     """
 
-    static_ffs: tuple[int, ...]    # the flip-flops
+    static_ffs: tuple[int, ...]    # the flip-flops, ascending
     support: tuple[int, ...]       # its PI and FF Q nets, ascending
     gates: tuple[int, ...]         # its gate ids, in topological order
     mask: int                      # the same gates as a mask
@@ -119,10 +115,10 @@ class MiterInstance:
 
 @dataclass(frozen=True)
 class Sweep:
-    """Good value of nets under every assignment of `support`: bit i is the
-    value under the assignment whose j-th support net is (i >> j) & 1."""
+    """Each `region` net's good value under every support assignment: bit i
+    is its value under the assignment whose j-th support net is (i >> j) & 1."""
 
-    support: tuple[int, ...]
+    region: Region
     values: dict[int, int]
 
 
@@ -161,49 +157,46 @@ class PatternResult:
         """
         if self.overflow:  # an unknown site is also an overflowed one
             return (self.static_ffs,)
-        sets = dict.fromkeys(frozenset(p.ffs.members) for p in self.patterns)
-        maximal: list[frozenset] = []
+        sets = dict.fromkeys(p.ffs for p in self.patterns)
+        maximal: dict[FFSet, frozenset[int]] = {}
         # a strict superset is larger, so it is already kept when s comes up
-        for s in sorted(sets, key=len, reverse=True):
-            if not any(s < t for t in maximal):
-                maximal.append(s)
-        keep = set(maximal)
-        return tuple(FFSet(tuple(sorted(s))) for s in sets if s in keep)
+        for s in sorted(sets, key=lambda s: s.multiplicity, reverse=True):
+            members = frozenset(s.members)
+            if not any(members < t for t in maximal.values()):
+                maximal[s] = members
+        return tuple(s for s in sets if s in maximal)
 
 
-def build_region(c: Circuit, site: FaultSite) -> Region:
-    """The region of the flip-flops `site` reaches: the OR of their cone
-    masks in `Circuit.cone_masks`, the gate mask decoded in topological
-    order and the support mask in ascending net order."""
+def build_region(c: Circuit, ffs: tuple[int, ...]) -> Region:
+    """The region of the flip-flops `ffs` (ascending ids): the OR of their
+    cone masks in `Circuit.cone_masks`, the gate mask decoded in
+    topological order and the support mask in ascending net order."""
+    cm = c.cone_masks
+    mask = support = 0
+    for f in ffs:
+        mask |= cm.gates[f]
+        support |= cm.support[f]
+    gates = _select(c.topo_gates, mask)
+    return Region(ffs, _select(range(c.num_nets), support), gates, mask)
+
+
+def build_miter(c: Circuit, site: FaultSite, region: Region | None = None) -> MiterInstance:
+    """Pair a good copy of `region`, which must hold the site's flip-flops
+    (the site's own region when not given), with a faulty copy of the
+    site's fan-out in it: the region's gates downstream of the site, in
+    topological order, whose faulty value can differ from their good one.
+    They are the site's downstream mask ANDed with the region's, the same
+    gates for every region that holds the site's flip-flops (see the module
+    docstring).
+    """
     if not site.static_ffs:
         raise ValueError(
             f"site '{c.net_names[site.site_net]}' reaches no flip-flop; nothing to analyze"
         )
-    cm = c.cone_masks
-    mask = support = 0
-    for f in site.static_ffs:
-        mask |= cm.gates[f]
-        support |= cm.support[f]
-    gates = _select(c.topo_gates, mask)
-    return Region(site.static_ffs, _select(range(c.num_nets), support), gates, mask)
-
-
-def build_miter(c: Circuit, site: FaultSite, region: Region | None = None) -> MiterInstance:
-    """Pair a good copy of the site's region (built when not given) with a
-    faulty copy of the site's fan-out in it: the region's gates downstream
-    of the site, in topological order, whose faulty value can differ from
-    their good one.
-
-    Only the logic inside the affected flip-flops' fan-in cones matters for
-    the comparison, so both engines work over the region alone.  Every gate
-    on a path from the site to a region gate reaches that gate's flip-flop,
-    so it is in the region too: the fan-out is the region's mask ANDed with
-    the site's downstream mask.
-    """
     if region is None:
-        region = build_region(c, site)
-    elif region.static_ffs != site.static_ffs:
-        raise ValueError("the region is of another flip-flop set than the site's")
+        region = build_region(c, site.static_ffs)
+    elif not set(region.static_ffs).issuperset(site.static_ffs):
+        raise ValueError("the region does not hold the site's flip-flops")
     fanout = c.cone_masks.downstream[site.site_net] & region.mask
     return MiterInstance(site, region, _select(c.topo_gates, fanout))
 
@@ -394,7 +387,7 @@ def _sweep(c: Circuit, region: Region) -> Sweep:
     """`_good_values` of the region under every support assignment."""
     k = len(region.support)
     values = _good_values(c, region, [_var_mask(j, k) for j in range(k)], (1 << (1 << k)) - 1)
-    return Sweep(region.support, values)
+    return Sweep(region, values)
 
 
 def _difference_masks(c: Circuit, m: MiterInstance, good: dict[int, int], full: int) -> list[int]:
@@ -494,12 +487,13 @@ def enumerate_patterns(
 ) -> PatternResult:
     """All distinct nonempty difference vectors achievable at this site.
 
-    `region` is the site's region, built when not given.  Both engines
-    simulate the site's miter and list each new vector they see, in the
-    order of `_distinct_patterns` within each simulated batch.  With
-    `sweep`, a `_sweep` of the site's region or of any region with its
-    support (another support is refused), the one batch is every support
-    assignment, cut after cap + 1 vectors.  Without it, iterated SAT: each
+    The site's miter is built over `region`, any region that holds the
+    site's flip-flops (`build_miter`); with `sweep`, that is the swept
+    region (another `region` is refused), and without either, the site's
+    own region.  Both engines simulate the miter and list each new vector
+    they see, in the order of `_distinct_patterns` within each simulated
+    batch.  With `sweep`, the one batch is every support assignment, cut
+    after cap + 1 vectors.  Without it, iterated SAT: each
     model seeds a flood whose waves are the batches (see
     `_neighbourhood_diffs`), and every new vector of the flood is blocked by
     a clause over difference variables only (see `_blocking_cube`), so
@@ -510,6 +504,10 @@ def enumerate_patterns(
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
+    if sweep is not None:
+        if region is not None and region != sweep.region:
+            raise ValueError("the region is not the one the sweep is of")
+        region = sweep.region
     t0 = time.perf_counter()
     m = build_miter(c, site, region)
     site_name = c.net_names[site.site_net]
@@ -530,8 +528,6 @@ def enumerate_patterns(
     unknown = False
     solves = 0
     if sweep is not None:
-        if sweep.support != m.region.support:
-            raise ValueError("the sweep is of another support than the site's region")
         full = (1 << (1 << len(m.region.support))) - 1
         list_new(_difference_masks(c, m, sweep.values, full), full, limit=cap + 1)
     else:
@@ -628,44 +624,43 @@ def analyze_sites(
     return {name: found[name] for name in (c.net_names[s.site_net] for s in work)}
 
 
-# A unit of work: the region its sites' good circuit is swept over (None
-# for a SAT-answered site), and each site with its own region.
-WorkUnit = tuple[Region | None, list[tuple[Region, FaultSite]]]
+# A unit of work: a region and the sites analysed over it, each of whose
+# flip-flops the region holds.
+WorkUnit = tuple[Region, list[FaultSite]]
 
 
 def _work_units(c: Circuit, sites: list[FaultSite]) -> list[WorkUnit]:
-    """Each region built once; the sites of all simulated regions with one
-    support as one unit, which sweeps the union of those regions once, and
-    every SAT-answered site as a unit of its own."""
+    """The sites of all simulated own regions with one support as one unit,
+    over the region of all their flip-flops, and every SAT-answered site as
+    a unit of its own, over its own region; no region is built twice."""
     groups: dict[tuple[int, ...], list[FaultSite]] = {}
     for s in sites:
         groups.setdefault(s.static_ffs, []).append(s)
-    by_support: dict[tuple[int, ...], list[tuple[Region, FaultSite]]] = {}
+    regions = {ffs: build_region(c, ffs) for ffs in groups}
+    by_support: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     sat_units: list[WorkUnit] = []
-    for group in groups.values():
-        region = build_region(c, group[0])
+    for ffs, region in regions.items():
         if region.simulated:
-            by_support.setdefault(region.support, []).extend((region, s) for s in group)
+            by_support.setdefault(region.support, []).append(ffs)
         else:
-            sat_units.extend((None, [(region, s)]) for s in group)
+            sat_units.extend((region, [s]) for s in groups[ffs])
     sim_units: list[WorkUnit] = []
-    for support, members in by_support.items():
-        regions = {r.static_ffs: r for r, _ in members}.values()
-        mask = reduce(or_, (r.mask for r in regions))
-        ffs = sorted({f for r in regions for f in r.static_ffs})
-        region = Region(tuple(ffs), support, _select(c.topo_gates, mask), mask)
-        sim_units.append((region, members))
+    for sets in by_support.values():
+        ffs = tuple(sorted(set().union(*sets)))
+        # built already when one of the sets holds all the others
+        region = regions.get(ffs) or build_region(c, ffs)
+        sim_units.append((region, [s for fs in sets for s in groups[fs]]))
     return sim_units + sat_units
 
 
 def _analyze_unit(
     c: Circuit, unit: WorkUnit, cap: int, conflict_limit: int | None
 ) -> list[PatternResult]:
-    """Results for the unit's sites, in the order given; a simulated unit's
-    good circuit is swept once, and every site reads that one sweep."""
-    swept, members = unit
-    sweep = None if swept is None else _sweep(c, swept)
-    return [enumerate_patterns(c, s, cap, conflict_limit, r, sweep) for r, s in members]
+    """Results for the unit's sites, in the order given; a simulated region
+    is swept once, and every site reads that one sweep."""
+    region, sites = unit
+    sweep = _sweep(c, region) if region.simulated else None
+    return [enumerate_patterns(c, s, cap, conflict_limit, region, sweep) for s in sites]
 
 
 def _init_worker(c: Circuit) -> None:
@@ -696,8 +691,8 @@ def optimize_sets(static: SetCollection, results: dict[str, PatternResult]) -> S
 
 
 def export_site_cnf(c: Circuit, site: FaultSite, region: Region | None = None) -> str:
-    """DIMACS text of the site's miter, difference forced nonempty; `region`
-    is the site's region, built when not given."""
+    """DIMACS text of the site's miter over `region` (see `build_miter`),
+    difference forced nonempty; a larger region encodes more good nets."""
     m = build_miter(c, site, region)
     f = encode_cnf(m, c)
     clauses = list(f.clauses)

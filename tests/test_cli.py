@@ -52,6 +52,27 @@ def test_cone_chain_sets_json_matches_cone_table(tmp_path):
     ]
 
 
+def test_sets_json_names_cone_sets_through_the_static_collection(tmp_path):
+    """The `cones` rows name their sets with the static collection's encoded
+    names: the cone collection encodes and picks no name of its own."""
+    made = []
+    collect = ffsets.collect_cone_sets
+
+    def spy(c):
+        made.append(collect(c))
+        return made[-1]
+
+    out = tmp_path / "out"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ffsets, "collect_cone_sets", spy)
+        assert run_cli(["sets", "--input", DATA / "cone_chain.bench", "--out", out]) == EXIT_OK
+    (cone_sets,) = made
+    assert not {"encoded_names", "member_names"} & vars(cone_sets).keys()
+    assert [row["members"] for row in read_json(out / "sets.json")["cones"]] == [
+        ["A", "B"], ["A", "B", "C"], ["B", "C", "D"], ["C", "D"]
+    ]
+
+
 @pytest.mark.parametrize("fixture", sorted(p.stem for p in DATA.glob("*.bench")))
 def test_sets_json_raw_rows_point_at_their_set(tmp_path, fixture):
     out = tmp_path / "out"
@@ -756,24 +777,27 @@ def test_export_cnf_writes_dimacs_per_site(tmp_path):
 
 
 def test_export_cnf_builds_each_region_once(tmp_path):
-    """One region build per distinct `static_ffs` for the analysis and one
-    for the export, and the DIMACS text of a per-site export."""
+    """One region build per flip-flop set for the analysis (each distinct
+    `static_ffs` and the flip-flops of each shared sweep) and one per
+    distinct `static_ffs` for the export, and the DIMACS text of a per-site
+    export."""
     c = make_random_circuit(1, n_pis=6, n_ffs=24, n_gates=90, n_pos=2)
     sites = enumerate_fault_sites(c)
     work = [s for s in sites if s.static_ffs]
     regions = {s.static_ffs for s in work}
     assert len(regions) < len(work)
+    analysed = regions | {r.static_ffs for r, _ in propagation._work_units(c, work)}
     built = []
     build = propagation.build_region
 
-    def counting(circ, site):
-        built.append(site.static_ffs)
-        return build(circ, site)
+    def counting(circ, ffs):
+        built.append(ffs)
+        return build(circ, ffs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(propagation, "build_region", counting)
         run_propagation(RunConfig(out=str(tmp_path), export_cnf=True), c, sites)
-    assert sorted(built) == sorted(2 * list(regions))
+    assert sorted(built) == sorted([*analysed, *regions])
     for s in work:
         written = (tmp_path / "cnf" / f"site_{s.site_net}.cnf").read_text()
         assert written == propagation.export_site_cnf(c, s)

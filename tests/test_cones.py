@@ -127,11 +127,14 @@ def test_excluded_nets_never_sites(cone_chain):
 
     text = (DATA / "cone_chain.bench").read_text()
     c = pb(text, exclude=["x12", "pa"])
-    sites = enumerate_fault_sites(c)
-    site_names = {c.net_names[s.site_net] for s in sites}
-    assert "x12" not in site_names and "pa" not in site_names
-    for s in sites:
-        assert not (s.represented_nets & c.excluded)
+    for mode in ("collapsed", "all_nets"):
+        sites = enumerate_fault_sites(c, mode)
+        site_names = {c.net_names[s.site_net] for s in sites}
+        assert "x12" not in site_names and "pa" not in site_names
+        for s in sites:
+            assert not (s.represented_nets & c.excluded)
+    kept = {n for n in range(c.num_nets) if c.is_combinational(n)} - c.excluded
+    assert {s.site_net for s in sites} == kept
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -213,6 +216,7 @@ def test_all_nets_mode_covers_every_combinational_net(fanout_demo):
     sites = enumerate_fault_sites(c, "all_nets")
     got = {s.site_net for s in sites}
     assert got == {n for n in range(c.num_nets) if c.is_combinational(n)}
+    assert all(s.represented_nets == {s.site_net} for s in sites)
     collapsed = {s.site_net for s in enumerate_fault_sites(c)}
     assert collapsed <= got
 

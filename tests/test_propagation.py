@@ -1,5 +1,6 @@
 import io
 import pickle
+import re
 from itertools import combinations
 
 import pytest
@@ -50,7 +51,7 @@ def outcome(result):
 
 def enumerate_with(engine, c, site, **kwargs):
     """enumerate_patterns through the named engine; "sim" sweeps the site's region."""
-    region = build_region(c, site)
+    region = build_region(c, site.static_ffs)
     sweep = None
     if engine == "sim":
         assert region.simulated
@@ -165,8 +166,10 @@ def test_fanout_demo_and1_has_four_diff_vars(fanout_demo):
 def test_po_only_site_rejected():
     c = parse_bench("INPUT(a)\nINPUT(b)\ny = AND(a, b)\nf = DFF(b)\nOUTPUT(y)\nOUTPUT(f)")
     site = next(s for s in enumerate_fault_sites(c) if s.po_only)
-    with pytest.raises(ValueError):
-        build_miter(c, site)
+    # every region holds the site's empty set of flip-flops
+    for region in (None, build_region(c, c.ff_ids)):
+        with pytest.raises(ValueError, match="reaches no flip-flop"):
+            build_miter(c, site, region)
 
 
 def test_nets_outside_fanout_are_shared(fanout_demo):
@@ -424,27 +427,29 @@ def test_hybrid_matches_sat_across_support_limit(seed):
 
 @pytest.mark.parametrize("jobs", [1, 2, 3])
 def test_work_units_hold_one_support_each_and_split_sat_sites(jobs, in_process_pool):
-    """A simulated unit holds every site of one support and sweeps the union
-    of their regions; every SAT-answered site is a unit of its own.  Any
+    """A simulated unit holds every site of one support and sweeps the
+    region of all their flip-flops, the union of their own regions; every
+    SAT-answered site is a unit of its own, over its own region.  Any
     `jobs` analyses these same units."""
     # seed 1 has supports shared by several regions and a SAT region of 2 sites
     c = make_random_circuit(1, n_pis=6, n_ffs=24, n_gates=90, n_pos=2)
     work = [s for s in enumerate_fault_sites(c) if s.static_ffs]
     units = _work_units(c, work)
-    assert sorted(s.site_net for _, u in units for _, s in u) == sorted(s.site_net for s in work)
+    assert sorted(s.site_net for _, u in units for s in u) == sorted(s.site_net for s in work)
     sat_regions = []
-    for swept, u in units:
-        assert all(region == build_region(c, s) for region, s in u)
-        if swept is None:
-            assert len(u) == 1 and not u[0][0].simulated
-            sat_regions.append(u[0][1].static_ffs)
+    for region, u in units:
+        if not region.simulated:
+            assert len(u) == 1 and region == build_region(c, u[0].static_ffs)
+            sat_regions.append(region.static_ffs)
             continue
-        assert {region.support for region, _ in u} == {swept.support}
-        gates = {g for region, _ in u for g in region.gates}
-        assert swept.gates == tuple(g for g in c.topo_gates if g in gates)
-        mine = [s.site_net for s in work if site_support(c, s) == swept.support]
-        assert sorted(s.site_net for _, s in u) == sorted(mine)
-    shared = [u for swept, u in units if swept and len({r for r, _ in u}) > 1]
+        own = [build_region(c, ffs) for ffs in dict.fromkeys(s.static_ffs for s in u)]
+        assert {r.support for r in own} == {region.support}
+        assert region.static_ffs == tuple(sorted({f for r in own for f in r.static_ffs}))
+        gates = {g for r in own for g in r.gates}
+        assert region.gates == tuple(g for g in c.topo_gates if g in gates)
+        mine = [s.site_net for s in work if site_support(c, s) == region.support]
+        assert sorted(s.site_net for s in u) == sorted(mine)
+    shared = [u for region, u in units if region.simulated and len({s.static_ffs for s in u}) > 1]
     assert shared
     assert len(set(sat_regions)) < len(sat_regions)
     analyze_sites(c, work, jobs=jobs)
@@ -527,7 +532,7 @@ def test_mask_regions_and_miters_match_the_closure_scan(circuits, mode):
         for site in enumerate_fault_sites(c, mode):
             if not site.static_ffs:
                 continue
-            region = build_region(c, site)
+            region = build_region(c, site.static_ffs)
             m = build_miter(c, site, region)
             assert (region.support, region.gates, m.dup_gates) == closure_scan(c, site)
             assert region.mask == sum(1 << pos[g] for g in region.gates)
@@ -548,17 +553,51 @@ def test_support_sweep_matches_each_region_sweep(circuits):
     shared = 0
     for c in circuits():
         units = _work_units(c, [s for s in enumerate_fault_sites(c) if s.static_ffs])
-        for swept, members in units:
-            if swept is None:
+        for region, members in units:
+            if not region.simulated:
                 continue
-            sweep = _sweep(c, swept)
-            regions = dict.fromkeys(r for r, _ in members)
-            shared += len(regions) > 1
-            for region in regions:
-                own = _sweep(c, region)
-                assert own.support == sweep.support
+            sweep = _sweep(c, region)
+            own_sets = dict.fromkeys(s.static_ffs for s in members)
+            shared += len(own_sets) > 1
+            for ffs in own_sets:
+                own = _sweep(c, build_region(c, ffs))
+                assert own.region.support == sweep.region.support
                 assert all(sweep.values[n] == v for n, v in own.values.items())
     assert shared > 0
+
+
+@pytest.mark.parametrize("circuits", SHARED_SWEEP_CIRCUITS)
+def test_any_region_that_holds_the_sites_flip_flops_gives_its_patterns(circuits):
+    """Over the site's own region, its work unit's region and the region of
+    every flip-flop, a site gets the same faulty fan-out; the simulation
+    engine lists the same patterns in the same order over each of them that
+    is simulated, and the SAT engine finds the same pattern set over each of
+    support 12 or less."""
+    larger = 0
+    for c in circuits():
+        every = build_region(c, c.ff_ids)
+        sweeps = {}
+
+        def sweep_of(region):
+            if region.static_ffs not in sweeps:
+                sweeps[region.static_ffs] = _sweep(c, region)
+            return sweeps[region.static_ffs]
+
+        for unit, sites in _work_units(c, [s for s in enumerate_fault_sites(c) if s.static_ffs]):
+            for site in sites:
+                own = build_region(c, site.static_ffs)
+                assert own.simulated
+                want = enumerate_patterns(c, site, sweep=sweep_of(own))
+                regions = (own, unit, every)
+                assert len({build_miter(c, site, r).dup_gates for r in regions}) == 1
+                for r in regions:
+                    if r.simulated:
+                        assert enumerate_patterns(c, site, sweep=sweep_of(r)) == want
+                    if len(r.support) <= 12:
+                        sat = enumerate_patterns(c, site, region=r)
+                        assert pattern_set(sat) == pattern_set(want)
+                larger += (unit != own) + (every != own)
+    assert larger > 0
 
 
 @pytest.mark.parametrize("circuits", SHARED_SWEEP_CIRCUITS)
@@ -626,20 +665,23 @@ def test_jobs_give_the_same_results_in_the_same_order_on_local50():
     ],
 )
 def test_each_region_is_built_once(make):
-    """One region build per distinct `static_ffs`, shared by all its sites
-    and by both engines."""
+    """One region build per flip-flop set, shared by all its sites and by
+    both engines: each distinct `static_ffs`, and the flip-flops of each
+    shared sweep."""
     c = make()
     sites = enumerate_fault_sites(c)
+    units = _work_units(c, [s for s in sites if s.static_ffs])
     built = []
 
-    def counting(circ, site):
-        built.append(site.static_ffs)
-        return build_region(circ, site)
+    def counting(circ, ffs):
+        built.append(ffs)
+        return build_region(circ, ffs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(propagation, "build_region", counting)
         results = analyze_sites(c, sites, jobs=1)
-    assert sorted(built) == sorted({s.static_ffs for s in sites if s.static_ffs})
+    want = {s.static_ffs for s in sites if s.static_ffs} | {r.static_ffs for r, _ in units}
+    assert sorted(built) == sorted(want)
     assert {r.engine for r in results.values()} == {"sim", "sat"}
 
 
@@ -824,28 +866,54 @@ def test_flip_masks_cover_the_hamming_ball_once(k, radius):
     assert offsets == tuple(sum(1 << j for j in m) for m in want)
 
 
+def dimacs_vectors(text):
+    """The flip-flop names of each difference vector a DIMACS miter of
+    `export_site_cnf` allows, each model's vector blocked in turn."""
+    nv, clauses = parse_dimacs(text)
+    diff = {int(v): name for v, name in re.findall(r"^c var (\d+): diff (\S+)$", text, re.M)}
+    found = set()
+    while (r := solve_cnf(nv, clauses)).status == SAT:
+        found.add(frozenset(name for v, name in diff.items() if r.model[v]))
+        clauses.append([-v if r.model[v] else v for v in diff])
+    return found
+
+
 @pytest.mark.parametrize(
     "call", ["sim", "sat", "build_miter", "export_site_cnf", "sweep_of_another_support"]
 )
 def test_sweep_of_another_region_rejected(divergent3, call):
-    """Every reader of a region refuses the region of another flip-flop set,
-    and the simulation engine a sweep of another support."""
+    """Every reader of a region refuses one that does not hold the site's
+    flip-flops, and the simulation engine a `region` other than the one its
+    sweep is of.  Each accepts a larger region that holds the site's
+    flip-flops, and gives over it what it gives over the site's own."""
     sites = sites_by_name(divergent3)
-    region = build_region(divergent3, sites["c"])
     x = sites["x"]
-    sweep = _sweep(divergent3, region) if call == "sim" else None
+    small = build_region(divergent3, sites["c"].static_ffs)   # f1, f2: not x's f3
+    large = build_region(divergent3, x.static_ffs)            # every flip-flop
+
+    def run(site, region):
+        if call in ("sim", "sweep_of_another_support"):
+            return enumerate_patterns(divergent3, site, sweep=_sweep(divergent3, region))
+        if call == "sat":
+            return pattern_set(enumerate_patterns(divergent3, site, region=region))
+        if call == "build_miter":
+            return build_miter(divergent3, site, region).dup_gates
+        return dimacs_vectors(export_site_cnf(divergent3, site, region))
+
     with pytest.raises(ValueError):
         if call == "sweep_of_another_support":
             # x's sweep (support x, c) holds every net of xb's region (support x)
             xb = sites["xb"]
-            wide = _sweep(divergent3, build_region(divergent3, x))
-            enumerate_patterns(divergent3, xb, region=build_region(divergent3, xb), sweep=wide)
-        elif call == "build_miter":
-            build_miter(divergent3, x, region)
-        elif call == "export_site_cnf":
-            export_site_cnf(divergent3, x, region)
+            own = build_region(divergent3, xb.static_ffs)
+            enumerate_patterns(divergent3, xb, region=own, sweep=_sweep(divergent3, large))
         else:
-            enumerate_patterns(divergent3, x, region=region, sweep=sweep)
+            run(x, small)
+    # c's region lacks xb's gate; xb's has a smaller support than the large one
+    for name in ("c", "xb"):
+        site = sites[name]
+        own = build_region(divergent3, site.static_ffs)
+        assert own != large
+        assert run(site, large) == run(site, own)
 
 
 # -- optimize_sets -----------------------------------------------------------------
@@ -898,6 +966,9 @@ def test_effective_sets_match_quadratic_definition():
     assert sum(len(r.patterns) > 1 for r in results) > 100
     for r in results:
         assert r.effective_sets() == maximal_by_definition(r)
+        # the listed patterns' own sets, not copies
+        listed = {id(p.ffs) for p in r.patterns}
+        assert all(id(s) in listed for s in r.effective_sets())
 
 
 def test_optimize_motivational_transformation():
