@@ -4,18 +4,18 @@ Two-valued simulation only, matching the CNF semantics.  `simulate` is the
 scalar, one-assignment-at-a-time reference for the bit-parallel gate
 evaluator.  `exhaustive_patterns` is the per-site reference sweep: it
 evaluates all support assignments of one site at once, packed into big
-integers (net value = one bit per assignment), with the evaluator and the
-pattern split that the simulation engine in `propagation` uses for regions
-of support at most SIM_SUPPORT_LIMIT.  It re-simulates the whole region
-for every site and its whole fan-out, so it cross-checks that engine's
-per-support sweep and event-driven fan-out re-simulation as well as the
-SAT engine; the hard support-size precondition keeps it from being
-misused.
+integers (net value = one bit per assignment), with the evaluator, the
+pattern split and the listing order (size, then mask value) that the
+simulation engine in `propagation` uses for regions of support at most
+SIM_SUPPORT_LIMIT.  It re-simulates the whole region for every site and
+its whole fan-out, so it cross-checks that engine's per-support sweep and
+event-driven fan-out re-simulation as well as the SAT engine; the hard
+support-size precondition keeps it from being misused.
 """
 
 from __future__ import annotations
 
-from .cones import FaultSite, closure_support, relevant_closure
+from .cones import FaultSite, _select, closure_support, relevant_closure
 from .ffsets import FFSet
 from .netlist import Circuit
 from .propagation import (
@@ -126,8 +126,8 @@ def exhaustive_patterns(
 
     site_name = c.net_names[site.site_net]
     return [
-        DifferencePattern(site_name, FFSet(members))
-        for members, _ in sorted(_distinct_patterns(diffs, site.static_ffs, full), key=_canonical)
+        DifferencePattern(site_name, FFSet(_select(site.static_ffs, v)))
+        for v, _ in sorted(_distinct_patterns(diffs, full), key=_canonical)
     ]
 
 

@@ -42,7 +42,9 @@ fan-out gate none of whose inputs differs is skipped, so a difference stops
 where it dies (as in concurrent fault simulation, Ulrich and Baker, IEEE
 Computer 1974).  One listing step serves both: each simulated batch (the
 sweep, or one flood wave) is split into classes of equal difference vectors
-at the flip-flops, and the vectors not listed yet are added.  Both give the
+at the flip-flops, and the vectors not listed yet are added.  A vector is
+one mask from the split to the blocking clause, bit j for the site's j-th
+flip-flop, decoded into flip-flop ids only for the result.  Both give the
 same patterns; the sweep's cost grows as 2**k times the swept gates, so it
 is only used where that is small.
 """
@@ -335,11 +337,11 @@ def _evaluate(c: Circuit, gids: Iterable[int], values: dict[int, int], full: int
 
 
 def _distinct_patterns(
-    diffs: list[int], ff_ids: tuple[int, ...], full: int, limit: int | None = None
-) -> list[tuple[tuple[int, ...], int]]:
-    """Distinct nonempty difference vectors, each with the lowest assignment
-    (bit of `full`) that gives it, in the order the split finds them; sort
-    them with `_canonical`.
+    diffs: list[int], full: int, limit: int | None = None
+) -> list[tuple[int, int]]:
+    """Distinct nonempty difference vectors, as masks with bit j for the
+    FF of `diffs[j]`, each with the lowest assignment (bit of `full`) that
+    gives it, in the order the split finds them; sort with `_canonical`.
 
     Partitions the assignments (the bits of `full`) by FF: each class is
     split into the assignments where FF j differs (`hit`) and the rest.  The
@@ -350,29 +352,29 @@ def _distinct_patterns(
     wait on the stack, so a level that does not split it costs no stack
     entry.  With `limit`, the split stops once that many vectors are found.
     """
-    n = len(ff_ids)
+    n = len(diffs)
     out = []
-    stack = [(full, 0, ())]
+    stack = [(full, 0, 0)]
     while stack and len(out) != limit:
-        mask, j, members = stack.pop()
+        mask, j, v = stack.pop()
         while j < n:
             hit = mask & diffs[j]
             if hit == mask:
-                members += (ff_ids[j],)
+                v |= 1 << j
             elif hit:
-                stack.append((mask ^ hit, j + 1, members))
+                stack.append((mask ^ hit, j + 1, v))
                 mask = hit
-                members += (ff_ids[j],)
+                v |= 1 << j
             j += 1
-        if members:
-            out.append((members, (mask & -mask).bit_length() - 1))
+        if v:
+            out.append((v, (mask & -mask).bit_length() - 1))
     return out
 
 
-def _canonical(leaf: tuple[tuple[int, ...], int]) -> tuple[int, tuple[int, ...]]:
+def _canonical(leaf: tuple[int, int]) -> tuple[int, int]:
     """Sort key of a `_distinct_patterns` vector: fewer flip-flops first,
-    then by flip-flop ids."""
-    return len(leaf[0]), leaf[0]
+    then by mask value (colexicographic order)."""
+    return leaf[0].bit_count(), leaf[0]
 
 
 def _good_values(c: Circuit, region: Region, inputs: Iterable[int], full: int) -> dict[int, int]:
@@ -491,16 +493,15 @@ def enumerate_patterns(
     site's flip-flops (`build_miter`); with `sweep`, that is the swept
     region (another `region` is refused), and without either, the site's
     own region.  Both engines simulate the miter and list each new vector
-    they see, in the order of `_distinct_patterns` within each simulated
-    batch.  With `sweep`, the one batch is every support assignment, cut
-    after cap + 1 vectors.  Without it, iterated SAT: each
-    model seeds a flood whose waves are the batches (see
-    `_neighbourhood_diffs`), and every new vector of the flood is blocked by
-    a clause over difference variables only (see `_blocking_cube`), so
-    patterns (not models) are enumerated until the solver proves none is
-    left.  More than `cap` patterns (the first `cap` are listed), or a
-    solver budget exhaustion, yields an Overflow result that falls back to
-    the static set (sound, never wrong).
+    they see, in `_canonical` order within each simulated batch.  With
+    `sweep`, the one batch is every support assignment, cut after cap + 1
+    vectors.  Without it, iterated SAT: each model seeds a flood whose
+    waves are the batches (see `_neighbourhood_diffs`), and every new
+    vector of the flood is blocked by a clause over difference variables
+    only (see `_blocking_cube`), so patterns (not models) are enumerated
+    until the solver proves none is left.  More than `cap` patterns (the
+    first `cap` are listed), or a solver budget exhaustion, yields an
+    Overflow result that falls back to the static set (sound, never wrong).
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -512,17 +513,14 @@ def enumerate_patterns(
     m = build_miter(c, site, region)
     site_name = c.net_names[site.site_net]
     ffs = site.static_ffs
-    found: dict[tuple[int, ...], None] = {}   # the listed vectors' FFs, in listing order
+    found: dict[int, None] = {}   # the listed vectors, bit j for ffs[j], in listing order
 
-    def list_new(
-        diffs: list[int], full: int, limit: int | None = None
-    ) -> list[tuple[tuple[int, ...], int]]:
+    def list_new(diffs: list[int], full: int, limit: int | None = None) -> list[tuple[int, int]]:
         """List the vectors of one simulated batch not listed yet, in
-        `_canonical` order: the FFs of each and the lowest bit of the
-        batch that gives it."""
-        leaves = _distinct_patterns(diffs, ffs, full, limit)
+        `_canonical` order, each with the lowest bit of the batch that gives it."""
+        leaves = _distinct_patterns(diffs, full, limit)
         new = sorted((leaf for leaf in leaves if leaf[0] not in found), key=_canonical)
-        found.update(dict.fromkeys(members for members, _ in new))
+        found.update(dict.fromkeys(v for v, _ in new))
         return new
 
     unknown = False
@@ -539,8 +537,6 @@ def enumerate_patterns(
         solver.add_clause(dvars)  # some difference must be observed
         svars = [f.good_vars[net] for net in m.region.support]
         k = len(svars)
-        pos = {ff: j for j, ff in enumerate(ffs)}
-        listed: set[int] = set()   # the listed vectors coded as ints, bit j for ffs[j]
         # every flood lists the model's own, unblocked vector, so the loop
         # stops after at most cap + 1 SAT answers
         while len(found) <= cap:
@@ -554,30 +550,30 @@ def enumerate_patterns(
             model = res.model
             seeds = [sum(1 << j for j, v in enumerate(svars) if model[v])]
             diffs, full = _neighbourhood_diffs(c, m, seeds)
-            own = tuple(ff for ff, dv in zip(ffs, dvars) if model[dv])
-            if own != tuple(ff for ff, d in zip(ffs, diffs) if d & 1):
+            own = sum(1 << j for j, dv in enumerate(dvars) if model[dv])
+            if own != sum(1 << j for j, d in enumerate(diffs) if d & 1):
                 raise RuntimeError(
-                    f"site '{site_name}': the SAT model's difference vector {own} is not "
-                    "what simulating its assignment gives; encoding and evaluator disagree"
+                    f"site '{site_name}': the SAT model's difference vector {_select(ffs, own)} "
+                    "is not what simulating its assignment gives; encoding and evaluator disagree"
                 )
-            if own in found:
-                # without this, the loop would find the unblocked vector forever
-                raise RuntimeError(f"site '{site_name}': the listed vector {own} was not blocked")
+            if own in found:  # else the solver would return it forever
+                raise RuntimeError(
+                    f"site '{site_name}': the listed vector {_select(ffs, own)} was not blocked"
+                )
             # the flood: each wave simulates the balls around the witnesses
             # of the previous wave's new vectors
             flooded: list[int] = []
             while (new := list_new(diffs, full)) and len(found) <= cap:
-                flooded += (sum(1 << pos[ff] for ff in members) for members, _ in new)
+                flooded += (v for v, _ in new)
                 seeds = [_ball_assignment(seeds, bit, k) for _, bit in new]
                 diffs, full = _neighbourhood_diffs(c, m, seeds)
             if len(found) > cap:
                 break
-            listed.update(flooded)
             covered: set[int] = set()
             for v in flooded:
                 if v in covered:
                     continue
-                base, free, cube = _blocking_cube(v, listed, len(ffs))
+                base, free, cube = _blocking_cube(v, found, len(ffs))
                 covered.update(cube)
                 solver.add_clause(
                     [-dv if base >> j & 1 else dv
@@ -586,7 +582,9 @@ def enumerate_patterns(
     overflow = unknown or len(found) > cap
     return PatternResult(
         site=site_name,
-        patterns=tuple(DifferencePattern(site_name, FFSet(ms)) for ms in list(found)[:cap]),
+        patterns=tuple(
+            DifferencePattern(site_name, FFSet(_select(ffs, v))) for v in list(found)[:cap]
+        ),
         overflow=overflow,
         unknown=unknown,
         static_ffs=FFSet(site.static_ffs),

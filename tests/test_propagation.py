@@ -16,7 +16,9 @@ from set2seu.propagation import (
     PatternResult,
     _ball_assignment,
     _blocking_cube,
+    _canonical,
     _difference_masks,
+    _distinct_patterns,
     _evaluate,
     _flip_masks,
     _neighbourhood_diffs,
@@ -42,6 +44,14 @@ def sites_by_name(c):
 
 def pattern_set(result):
     return {p.ffs.members for p in result.patterns}
+
+
+def in_listing_order(patterns, site):
+    """Whether `patterns` come by size, then by their mask over the site's
+    flip-flops (bit j for `site.static_ffs[j]`)."""
+    bit = {f: 1 << j for j, f in enumerate(site.static_ffs)}
+    keys = [(len(p.ffs.members), sum(bit[f] for f in p.ffs.members)) for p in patterns]
+    return keys == sorted(keys)
 
 
 def outcome(result):
@@ -571,7 +581,8 @@ def test_any_region_that_holds_the_sites_flip_flops_gives_its_patterns(circuits)
     """Over the site's own region, its work unit's region and the region of
     every flip-flop, a site gets the same faulty fan-out; the simulation
     engine lists the same patterns in the same order over each of them that
-    is simulated, and the SAT engine finds the same pattern set over each of
+    is simulated, by size and then by mask value, the order of the oracle's
+    list, and the SAT engine finds the same pattern set over each of
     support 12 or less."""
     larger = 0
     for c in circuits():
@@ -588,6 +599,8 @@ def test_any_region_that_holds_the_sites_flip_flops_gives_its_patterns(circuits)
                 own = build_region(c, site.static_ffs)
                 assert own.simulated
                 want = enumerate_patterns(c, site, sweep=sweep_of(own))
+                assert in_listing_order(want.patterns, site)
+                assert exhaustive_patterns(c, site) == list(want.patterns)
                 regions = (own, unit, every)
                 assert len({build_miter(c, site, r).dup_gates for r in regions}) == 1
                 for r in regions:
@@ -784,6 +797,48 @@ def test_blocking_cube_is_a_maximal_listed_subcube(k):
             for j in range(k):
                 if not free >> j & 1:
                     assert any(u ^ 1 << j not in listed for u in cube), (v, j)
+
+
+def test_distinct_patterns_sets_bit_j_for_the_jth_flip_flop():
+    """Seven assignments over flip-flops 0..3, of which 2 never differs:
+    each vector is a mask with bit j for the j-th difference mask, given
+    with its lowest assignment; assignment 6 upsets nothing and is dropped,
+    and assignment 5 repeats the vector of assignment 0."""
+    diffs = [0b0000110, 0b0110011, 0, 0b0011010]
+    leaves = _distinct_patterns(diffs, 0b1111111)
+    assert sorted(leaves, key=_canonical) == [
+        (0b0001, 2), (0b0010, 0), (0b1000, 3), (0b1010, 4), (0b1011, 1)
+    ]
+    assert _distinct_patterns(diffs, 0b1111111, limit=2) == leaves[:2]
+
+
+def test_sat_model_that_simulation_contradicts_raises(b01ish, monkeypatch):
+    """A SAT model whose simulated assignment upsets no flip-flop stops the
+    analysis, and the message names the model's flip-flops by id."""
+    real = propagation._neighbourhood_diffs
+
+    def no_difference(c, m, seeds):
+        diffs, full = real(c, m, seeds)
+        return [0] * len(diffs), full
+
+    monkeypatch.setattr(propagation, "_neighbourhood_diffs", no_difference)
+    msg = "site 'line1': the SAT model's difference vector (0, 1, 2, 3, 4) is not what simulating"
+    with pytest.raises(RuntimeError, match=re.escape(msg)):
+        enumerate_patterns(b01ish, sites_by_name(b01ish)["line1"])
+
+
+def test_listed_vector_left_unblocked_raises(b01ish, monkeypatch):
+    """A blocking clause over the complement of each listed vector leaves
+    them unblocked: the solver returns a listed vector, which stops the
+    analysis, and the message names its flip-flops by id."""
+
+    def complement(v, listed, k):
+        return v ^ ((1 << k) - 1), 0, [v]
+
+    monkeypatch.setattr(propagation, "_blocking_cube", complement)
+    msg = "site 'line1': the listed vector (0, 1, 2, 3, 4) was not blocked"
+    with pytest.raises(RuntimeError, match=re.escape(msg)):
+        enumerate_patterns(b01ish, sites_by_name(b01ish)["line1"])
 
 
 def test_harvest_overshooting_cap_lists_cap_real_patterns():
