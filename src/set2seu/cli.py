@@ -403,7 +403,10 @@ def run_propagation(
     work = [s for s in sites if s.static_ffs]
     log(f"propagate: {len(work)} sites (cap {cfg.pattern_cap}, jobs {cfg.jobs})")
     t0 = time.monotonic()
-    results = propagation.analyze_sites(c, sites, cfg.pattern_cap, cfg.conflict_cap, cfg.jobs)
+    regions = propagation.site_regions(c, work)   # shared with the DIMACS export
+    results = propagation.analyze_sites(
+        c, sites, cfg.pattern_cap, cfg.conflict_cap, cfg.jobs, regions
+    )
     if cfg.verbose:
         for r in results.values():
             log(
@@ -416,7 +419,6 @@ def run_propagation(
     if cfg.export_cnf:
         cnf_dir = Path(cfg.out) / "cnf"
         cnf_dir.mkdir(parents=True, exist_ok=True)
-        regions = {ffs: propagation.build_region(c, ffs) for ffs in {s.static_ffs for s in work}}
         for s in work:
             path = cnf_dir / f"site_{s.site_net}.cnf"
             path.write_text(propagation.export_site_cnf(c, s, regions[s.static_ffs]))

@@ -17,24 +17,32 @@ per support assignment, and differ only in which assignments they simulate:
   assignment at once, in a 2**k-bit integer.  The sites whose own regions
   have one support share one sweep of the good circuit, over the region of
   all their flip-flops, which has that same support.
-- SAT otherwise.  The miter is Tseitin-encoded, with difference variables
-  that compare the good and faulty values at each reachable flip-flop's D
-  pin.  Each model the solver finds seeds a flood of simulation (after
-  Larrabee's fault simulation of SAT-generated test vectors, IEEE TCAD
-  1992).  One wave of the flood simulates, in one batch, every assignment
-  within HARVEST_RADIUS flips of each of its seeds; the lowest assignment
-  that gives each difference vector the wave lists (its witness) seeds
-  the next wave, and the flood ends with a wave that lists nothing new.
-  Only then are the flood's vectors blocked and the solver called again,
-  so it is asked only where simulation stops finding patterns.  Blocking
-  is by cubes: a new vector is widened, one flip-flop at a time, to a
-  subcube of vectors that are all listed already, and one clause over
-  the difference variables of the cube's fixed flip-flops blocks the
-  whole cube (cube enlargement as in McMillan, "Applying SAT methods in
-  unbounded symbolic model checking", CAV 2002, here only over listed
-  vectors).  Every listed vector thus comes from a concrete assignment,
-  no unlisted vector is ever blocked, and the loop ends only when the
-  solver proves that no unblocked vector is left.
+- SAT otherwise, after a flood of simulation.  A flood lists what the
+  simulation of assignments near its seeds finds: one wave simulates, in
+  one batch, every assignment within HARVEST_RADIUS flips of each of at
+  most WAVE_SEEDS seeds; the lowest assignment that gives each new
+  difference vector (its witness) seeds a later wave, and the flood ends
+  when no witness is left.  The site's first flood, the probe, is seeded
+  by PROBE_SEEDS pseudo-random assignments, a function of the support size
+  alone.  When the probe lists every nonempty vector over the site's
+  flip-flops, or more than the cap, that list needs no proof: the site is
+  settled by simulation, and no CNF is encoded (random patterns before
+  deterministic search, as in ATPG; Schulz, Trischler and Sarfert,
+  "SOCRATES", IEEE TCAD 1988).  Otherwise the miter is Tseitin-encoded,
+  with difference variables that compare the good and faulty values at
+  each reachable flip-flop's D pin, the probe's vectors are blocked, and
+  each model the solver finds seeds a flood (after Larrabee's fault
+  simulation of SAT-generated test vectors, IEEE TCAD 1992).  Only when it
+  ends are the flood's vectors blocked and the solver called again, so it
+  is asked only where simulation stops finding patterns.  Blocking is by
+  cubes: a new vector is widened, one flip-flop at a time, to a subcube of
+  vectors that are all listed already, and one clause over the difference
+  variables of the cube's fixed flip-flops blocks the whole cube (cube
+  enlargement as in McMillan, "Applying SAT methods in unbounded symbolic
+  model checking", CAV 2002, here only over listed vectors).  Every listed
+  vector thus comes from a concrete assignment, no unlisted vector is ever
+  blocked, and the loop ends only when the solver proves that no
+  unblocked vector is left.
 
 Both engines re-simulate only the site's faulty fan-out, and event-driven:
 only the nets whose faulty value differs from the good one are kept, and a
@@ -51,6 +59,7 @@ is only used where that is small.
 
 from __future__ import annotations
 
+import random
 import time
 from collections.abc import Container, Iterable
 from dataclasses import dataclass, field
@@ -78,6 +87,21 @@ SIM_SUPPORT_LIMIT = 16
 # 2 calls and 45 s (one run).  Every new pattern seeds a ball, so a wider
 # ball mostly re-simulates patterns the flood has already listed.
 HARVEST_RADIUS = 1
+# Pseudo-random support assignments that seed the probe, the flood each
+# SAT-answered site starts with before any CNF is encoded; at most
+# WAVE_SEEDS, so that they are one wave.  Measured on wide100's 312
+# complete SAT-answered sites (2-vCPU Intel Xeon, Python 3.11, best of 5,
+# waves of 64): no probe and 32, 64, 128 and 256 seeds take 1.28, 1.09,
+# 1.10, 1.07 and 1.16 s and leave 312, 185, 183, 177 and 177 of them to
+# the solver.
+PROBE_SEEDS = 64
+# Most seeds one flood wave simulates; the witnesses beyond them seed later
+# waves.  A site that overflows the cap stops after the wave that passes it,
+# so a wide wave mostly simulates past the cap.  Measured on wide100's 8
+# sites over the 4,096-pattern cap (same machine, 64 probe seeds, best of
+# 5): waves of 64, 128, 256 and 512 seeds take 0.99, 1.03, 1.08 and 1.21 s,
+# unbounded waves 1.59 s; the complete sites stay at 1.10-1.18 s.
+WAVE_SEEDS = 64
 
 
 @dataclass(frozen=True)
@@ -142,7 +166,7 @@ class PatternResult:
     static_ffs: FFSet                          # fallback when overflow/unknown
     seconds: float = field(default=0.0, compare=False)  # wall time of the analysis
     engine: str = field(default="", compare=False)      # "sim" or "sat"; "" when read back
-    solves: int = field(default=0, compare=False)       # SAT solve calls; 0 when simulated
+    solves: int = field(default=0, compare=False)       # SAT solve calls; 0 when no solver ran
 
     @property
     def complete(self) -> bool:
@@ -458,6 +482,15 @@ def _ball_assignment(seeds: list[int], bit: int, k: int) -> int:
     return seeds[s] ^ offsets[b]
 
 
+def _probe_seeds(k: int) -> list[int]:
+    """The PROBE_SEEDS support assignments of k nets that seed a site's
+    probe: pseudo-random, but drawn from a generator of their own seeded by
+    k alone, so that they do not depend on what ran before them in the
+    process, and every `jobs` lists the same patterns."""
+    rng = random.Random(k)
+    return [rng.getrandbits(k) for _ in range(PROBE_SEEDS)]
+
+
 def _blocking_cube(v: int, listed: Container[int], k: int) -> tuple[int, int, list[int]]:
     """A subcube of `listed` that holds `v`, as (base, free) bitmasks over k
     positions, and its vectors: the cube is every vector that agrees with
@@ -495,11 +528,13 @@ def enumerate_patterns(
     own region.  Both engines simulate the miter and list each new vector
     they see, in `_canonical` order within each simulated batch.  With
     `sweep`, the one batch is every support assignment, cut after cap + 1
-    vectors.  Without it, iterated SAT: each model seeds a flood whose
-    waves are the batches (see `_neighbourhood_diffs`), and every new
-    vector of the flood is blocked by a clause over difference variables
-    only (see `_blocking_cube`), so patterns (not models) are enumerated
-    until the solver proves none is left.  More than `cap` patterns (the
+    vectors.  Without it, floods whose waves are the batches (see
+    `_neighbourhood_diffs`): first the probe, from `_probe_seeds`, which
+    settles the site when it lists every nonempty vector or more than
+    `cap`; then iterated SAT, in which the vectors of the probe and of each
+    model's flood are blocked by clauses over difference variables only
+    (see `_blocking_cube`), so patterns (not models) are enumerated until
+    the solver proves none is left.  More than `cap` patterns (the
     first `cap` are listed), or a solver budget exhaustion, yields an
     Overflow result that falls back to the static set (sound, never wrong).
     """
@@ -529,56 +564,74 @@ def enumerate_patterns(
         full = (1 << (1 << len(m.region.support))) - 1
         list_new(_difference_masks(c, m, sweep.values, full), full, limit=cap + 1)
     else:
-        f = encode_cnf(m, c)
-        solver = CdclSolver(f.num_vars)
-        for cl in f.clauses:
-            solver.add_clause(cl)
-        dvars = [f.diff_vars[ff] for ff in ffs]
-        solver.add_clause(dvars)  # some difference must be observed
-        svars = [f.good_vars[net] for net in m.region.support]
-        k = len(svars)
-        # every flood lists the model's own, unblocked vector, so the loop
-        # stops after at most cap + 1 SAT answers
-        while len(found) <= cap:
-            res = solver.solve(conflict_limit=conflict_limit)
-            solves += 1
-            if res.status == UNKNOWN:
-                unknown = True
-                break
-            if res.status == UNSAT:
-                break
-            model = res.model
-            seeds = [sum(1 << j for j, v in enumerate(svars) if model[v])]
-            diffs, full = _neighbourhood_diffs(c, m, seeds)
-            own = sum(1 << j for j, dv in enumerate(dvars) if model[dv])
-            if own != sum(1 << j for j, d in enumerate(diffs) if d & 1):
-                raise RuntimeError(
-                    f"site '{site_name}': the SAT model's difference vector {_select(ffs, own)} "
-                    "is not what simulating its assignment gives; encoding and evaluator disagree"
-                )
-            if own in found:  # else the solver would return it forever
-                raise RuntimeError(
-                    f"site '{site_name}': the listed vector {_select(ffs, own)} was not blocked"
-                )
-            # the flood: each wave simulates the balls around the witnesses
-            # of the previous wave's new vectors
+        k = len(m.region.support)
+
+        def flood(seeds: list[int], diffs: list[int], full: int) -> list[int]:
+            """List the vectors of the flood whose first wave, the balls
+            around `seeds`, gave `diffs` over the bits of `full`, and return
+            them.  The witnesses of each wave's new vectors seed later
+            waves, at most WAVE_SEEDS a wave, until none is left, or until
+            more than `cap` vectors are listed."""
             flooded: list[int] = []
-            while (new := list_new(diffs, full)) and len(found) <= cap:
+            pending: list[int] = []
+            while True:
+                new = list_new(diffs, full)
                 flooded += (v for v, _ in new)
-                seeds = [_ball_assignment(seeds, bit, k) for _, bit in new]
+                pending += (_ball_assignment(seeds, bit, k) for _, bit in new)
+                if not pending or len(found) > cap:
+                    return flooded
+                seeds, pending = pending[:WAVE_SEEDS], pending[WAVE_SEEDS:]
                 diffs, full = _neighbourhood_diffs(c, m, seeds)
-            if len(found) > cap:
-                break
-            covered: set[int] = set()
-            for v in flooded:
-                if v in covered:
-                    continue
-                base, free, cube = _blocking_cube(v, found, len(ffs))
-                covered.update(cube)
-                solver.add_clause(
-                    [-dv if base >> j & 1 else dv
-                     for j, dv in enumerate(dvars) if not free >> j & 1]
-                )
+
+        seeds = _probe_seeds(k)
+        new = flood(seeds, *_neighbourhood_diffs(c, m, seeds)) if seeds else []
+        # the probe settles a site when it lists more than cap vectors or
+        # every nonempty one; the solver answers for the others
+        if len(found) < min(cap + 1, (1 << len(ffs)) - 1):
+            f = encode_cnf(m, c)
+            solver = CdclSolver(f.num_vars)
+            for cl in f.clauses:
+                solver.add_clause(cl)
+            dvars = [f.diff_vars[ff] for ff in ffs]
+            solver.add_clause(dvars)  # some difference must be observed
+            svars = [f.good_vars[net] for net in m.region.support]
+            # every flood lists the model's own, unblocked vector, so the
+            # loop stops after at most cap + 1 SAT answers
+            while True:
+                covered: set[int] = set()
+                for v in new:
+                    if v in covered:
+                        continue
+                    base, free, cube = _blocking_cube(v, found, len(ffs))
+                    covered.update(cube)
+                    solver.add_clause(
+                        [-dv if base >> j & 1 else dv
+                         for j, dv in enumerate(dvars) if not free >> j & 1]
+                    )
+                res = solver.solve(conflict_limit=conflict_limit)
+                solves += 1
+                if res.status == UNKNOWN:
+                    unknown = True
+                    break
+                if res.status == UNSAT:
+                    break
+                model = res.model
+                seeds = [sum(1 << j for j, v in enumerate(svars) if model[v])]
+                diffs, full = _neighbourhood_diffs(c, m, seeds)
+                own = sum(1 << j for j, dv in enumerate(dvars) if model[dv])
+                if own != sum(1 << j for j, d in enumerate(diffs) if d & 1):
+                    raise RuntimeError(
+                        f"site '{site_name}': the SAT model's difference vector "
+                        f"{_select(ffs, own)} is not what simulating its assignment gives; "
+                        "encoding and evaluator disagree"
+                    )
+                if own in found:  # else the solver would return it forever
+                    raise RuntimeError(
+                        f"site '{site_name}': the listed vector {_select(ffs, own)} was not blocked"
+                    )
+                new = flood(seeds, diffs, full)
+                if len(found) > cap:
+                    break
     overflow = unknown or len(found) > cap
     return PatternResult(
         site=site_name,
@@ -600,15 +653,18 @@ def analyze_sites(
     cap: int = DEFAULT_PATTERN_CAP,
     conflict_limit: int | None = DEFAULT_CONFLICT_CAP,
     jobs: int = 1,
+    regions: dict[tuple[int, ...], Region] | None = None,
 ) -> dict[str, PatternResult]:
     """Run pattern enumeration for every FF-reaching site.
 
-    The units of work (see `_work_units`) do not depend on `jobs`; with
-    jobs > 1 they are shared by at most `jobs` worker processes, each sent
-    the circuit once, when it starts.  Result order is fixed by site net id.
+    `regions` holds the region of each distinct `static_ffs` of the sites
+    (`site_regions`), and is built here when not given.  The units of work
+    (see `_work_units`) do not depend on `jobs`; with jobs > 1 they are
+    shared by at most `jobs` worker processes, each sent the circuit once,
+    when it starts.  Result order is fixed by site net id.
     """
     work = [s for s in sites if s.static_ffs]
-    units = _work_units(c, work)
+    units = _work_units(c, work, regions)
     if jobs > 1 and len(units) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -627,21 +683,33 @@ def analyze_sites(
 WorkUnit = tuple[Region, list[FaultSite]]
 
 
-def _work_units(c: Circuit, sites: list[FaultSite]) -> list[WorkUnit]:
+def site_regions(c: Circuit, sites: list[FaultSite]) -> dict[tuple[int, ...], Region]:
+    """The region of each distinct `static_ffs` of the FF-reaching `sites`,
+    in the order the sites first name it."""
+    return {ffs: build_region(c, ffs) for ffs in dict.fromkeys(s.static_ffs for s in sites)}
+
+
+def _work_units(
+    c: Circuit, sites: list[FaultSite], regions: dict[tuple[int, ...], Region] | None = None
+) -> list[WorkUnit]:
     """The sites of all simulated own regions with one support as one unit,
     over the region of all their flip-flops, and every SAT-answered site as
-    a unit of its own, over its own region; no region is built twice."""
+    a unit of its own, over its own region.  The sites' own regions come
+    from `regions`, or from `site_regions` when it is not given; no region
+    is built twice."""
     groups: dict[tuple[int, ...], list[FaultSite]] = {}
     for s in sites:
         groups.setdefault(s.static_ffs, []).append(s)
-    regions = {ffs: build_region(c, ffs) for ffs in groups}
+    if regions is None:
+        regions = site_regions(c, sites)
     by_support: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     sat_units: list[WorkUnit] = []
-    for ffs, region in regions.items():
+    for ffs, members in groups.items():
+        region = regions[ffs]
         if region.simulated:
             by_support.setdefault(region.support, []).append(ffs)
         else:
-            sat_units.extend((region, [s]) for s in groups[ffs])
+            sat_units.extend((region, [s]) for s in members)
     sim_units: list[WorkUnit] = []
     for sets in by_support.values():
         ffs = tuple(sorted(set().union(*sets)))

@@ -777,10 +777,9 @@ def test_export_cnf_writes_dimacs_per_site(tmp_path):
 
 
 def test_export_cnf_builds_each_region_once(tmp_path):
-    """One region build per flip-flop set for the analysis (each distinct
-    `static_ffs` and the flip-flops of each shared sweep) and one per
-    distinct `static_ffs` for the export, and the DIMACS text of a per-site
-    export."""
+    """One region build per flip-flop set in a run: each distinct
+    `static_ffs`, shared by the analysis and the export, and the flip-flops
+    of each shared sweep; and the DIMACS text of a per-site export."""
     c = make_random_circuit(1, n_pis=6, n_ffs=24, n_gates=90, n_pos=2)
     sites = enumerate_fault_sites(c)
     work = [s for s in sites if s.static_ffs]
@@ -797,7 +796,7 @@ def test_export_cnf_builds_each_region_once(tmp_path):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(propagation, "build_region", counting)
         run_propagation(RunConfig(out=str(tmp_path), export_cnf=True), c, sites)
-    assert sorted(built) == sorted([*analysed, *regions])
+    assert sorted(built) == sorted(analysed)
     for s in work:
         written = (tmp_path / "cnf" / f"site_{s.site_net}.cnf").read_text()
         assert written == propagation.export_site_cnf(c, s)

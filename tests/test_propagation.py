@@ -1,5 +1,6 @@
 import io
 import pickle
+import random
 import re
 from itertools import combinations
 
@@ -8,7 +9,7 @@ import pytest
 from set2seu import parse_bench, propagation
 from set2seu.cones import closure_support, enumerate_fault_sites, relevant_closure, site_support
 from set2seu.ffsets import FFSet, SetCollection, collect_static_sets, ffset
-from set2seu.netlist import Circuit, build_circuit
+from set2seu.netlist import Circuit, build_circuit, to_bench
 from set2seu.oracle import _eval_gate, exhaustive_patterns, simulate
 from set2seu.propagation import (
     SIM_SUPPORT_LIMIT,
@@ -71,11 +72,19 @@ def enumerate_with(engine, c, site, **kwargs):
     return r
 
 
+def without_probe(c, site, **kwargs):
+    """The SAT engine with no probe: every pattern is found from a model."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(propagation, "PROBE_SEEDS", 0)
+        return enumerate_patterns(c, site, **kwargs)
+
+
 def plain_sat(c, site, **kwargs):
-    """The SAT engine with a harvest radius of 0: one pattern per solve call."""
+    """The SAT engine with no probe and a harvest radius of 0: one pattern
+    per solve call."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(propagation, "HARVEST_RADIUS", 0)
-        return enumerate_patterns(c, site, **kwargs)
+        return without_probe(c, site, **kwargs)
 
 
 def downstream(c, net):
@@ -720,7 +729,7 @@ def test_harvest_matches_plain_sat(circuits):
                 continue
             plain = plain_sat(c, site)
             assert plain.solves == len(plain.patterns) + 1
-            r = enumerate_patterns(c, site)
+            r = without_probe(c, site)
             assert r.engine == "sat" and 1 <= r.solves <= plain.solves
             assert outcome(r) == outcome(plain), c.net_names[site.site_net]
             checked += 1
@@ -756,7 +765,7 @@ def test_flood_reaches_patterns_beyond_the_first_ball():
     the flood's waves list them all from the first model, and the second
     solve proves that none is left."""
     c, site = wide_fanout()
-    r = enumerate_patterns(c, site)
+    r = without_probe(c, site)
     assert r.complete and len(r.patterns) == 1023
     assert r.solves == 2
 
@@ -773,7 +782,7 @@ def test_cube_blocking_adds_fewer_clauses_than_patterns():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(CdclSolver, "add_clause", recording)
-        r = enumerate_patterns(c, site)
+        r = without_probe(c, site)
     assert r.complete and len(r.patterns) == 1023
     assert added[: len(f.clauses)] == [list(cl) for cl in f.clauses]
     blocking = added[len(f.clauses) + 1 :]  # after "some difference is observed"
@@ -827,18 +836,39 @@ def test_sat_model_that_simulation_contradicts_raises(b01ish, monkeypatch):
         enumerate_patterns(b01ish, sites_by_name(b01ish)["line1"])
 
 
+def complement(v, listed, k):
+    """A `_blocking_cube` whose clause, over the complement of `v`, leaves
+    every listed vector unblocked."""
+    return v ^ ((1 << k) - 1), 0, [v]
+
+
 def test_listed_vector_left_unblocked_raises(b01ish, monkeypatch):
     """A blocking clause over the complement of each listed vector leaves
     them unblocked: the solver returns a listed vector, which stops the
     analysis, and the message names its flip-flops by id."""
-
-    def complement(v, listed, k):
-        return v ^ ((1 << k) - 1), 0, [v]
-
+    monkeypatch.setattr(propagation, "PROBE_SEEDS", 0)
     monkeypatch.setattr(propagation, "_blocking_cube", complement)
     msg = "site 'line1': the listed vector (0, 1, 2, 3, 4) was not blocked"
     with pytest.raises(RuntimeError, match=re.escape(msg)):
         enumerate_patterns(b01ish, sites_by_name(b01ish)["line1"])
+
+
+def test_probe_vector_left_unblocked_raises(b01ish, monkeypatch):
+    """The probe's vectors go through the same blocking: line1's probe
+    does not list all 31 vectors over its 5 flip-flops, and with its
+    vectors left unblocked the solver's first answer is one of them."""
+    monkeypatch.setattr(propagation, "_blocking_cube", complement)
+    calls = []
+    solve = CdclSolver.solve
+
+    def solving(self, *args, **kwargs):
+        calls.append(1)
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(CdclSolver, "solve", solving)
+    with pytest.raises(RuntimeError, match="was not blocked"):
+        enumerate_patterns(b01ish, sites_by_name(b01ish)["line1"])
+    assert len(calls) == 1
 
 
 def test_harvest_overshooting_cap_lists_cap_real_patterns():
@@ -847,14 +877,153 @@ def test_harvest_overshooting_cap_lists_cap_real_patterns():
     real = {p.ffs.members for p in exhaustive_patterns(c, site)}
     full = enumerate_patterns(c, site)
     assert full.complete and pattern_set(full) == real
-    r = enumerate_patterns(c, site, cap=3)
+    r = without_probe(c, site, cap=3)
     assert r.solves == 1  # the first flood alone passed the cap
     assert r.overflow and not r.complete and not r.unknown
     assert len(r.patterns) == 3 and pattern_set(r) <= real
     assert r.effective_sets() == (FFSet(site.static_ffs),)
+    probed = enumerate_patterns(c, site, cap=3)
+    assert probed.solves == 0  # the probe alone passed the cap
+    assert probed.overflow and not probed.complete and not probed.unknown
+    assert len(probed.patterns) == 3 and pattern_set(probed) <= real
     exact = enumerate_patterns(c, site, cap=len(real))
     assert exact.complete and not exact.overflow
     assert pattern_set(exact) == real
+
+
+# -- the probe: a seeded flood before any CNF ----------------------------------------
+
+
+def rare_fanout():
+    """wide_fanout with an eleventh flip-flop f10 = DFF(AND(s, r)), r the AND
+    of 20 more inputs: every nonempty subset of the 11 FFs is a pattern, but
+    one that holds f10 needs all 20 inputs at 1, which few assignments near
+    a random one have."""
+    c, _ = wide_fanout()
+    lines = [f"INPUT(b{j})" for j in range(20)]
+    lines += [f"r = AND({', '.join(f'b{j}' for j in range(20))})", "d10 = AND(s, r)"]
+    lines += ["f10 = DFF(d10)", "OUTPUT(f10)"]
+    c = parse_bench(to_bench(c) + "\n".join(lines))
+    return c, sites_by_name(c)["s"]
+
+
+def traced_sat_sites(c, sites):
+    """`enumerate_patterns` of each site, with the calls it made: "encode"
+    for each `encode_cnf` call and the status of each `CdclSolver.solve`
+    call, in order."""
+    encode, solve = propagation.encode_cnf, CdclSolver.solve
+    calls = []
+
+    def encoding(m, circ):
+        calls.append("encode")
+        return encode(m, circ)
+
+    def solving(self, *args, **kwargs):
+        res = solve(self, *args, **kwargs)
+        calls.append(res.status)
+        return res
+
+    out = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(propagation, "encode_cnf", encoding)
+        mp.setattr(CdclSolver, "solve", solving)
+        for site in sites:
+            calls.clear()
+            out.append((site, enumerate_patterns(c, site), list(calls)))
+    return out
+
+
+def test_probe_settles_a_site_only_with_every_vector_listed():
+    """A SAT-answered site that the probe settles makes no `encode_cnf` and
+    no solve call, and has listed every nonempty vector over its flip-flops
+    (or more than the cap).  Every other site encodes its miter once, and a
+    complete one ends on its one UNSAT answer."""
+    circuits = [wide_fanout()[0], rare_fanout()[0]]
+    circuits += [
+        make_random_circuit(seed, n_pis=6, n_ffs=24, n_gates=90, n_pos=2) for seed in range(3)
+    ]
+    circuits.append(make_random_circuit(7, n_pis=10, n_ffs=50, n_gates=500, n_pos=10))
+    settled = solved = 0
+    for c in circuits:
+        sites = [s for s in enumerate_fault_sites(c) if s.static_ffs]
+        sat = [s for s in sites if not build_region(c, s.static_ffs).simulated]
+        for site, r, calls in traced_sat_sites(c, sat):
+            name = c.net_names[site.site_net]
+            assert r.engine == "sat" and r.solves == len(calls) - (r.solves > 0), name
+            if r.solves == 0:
+                assert calls == [], name
+                assert r.overflow or len(r.patterns) == (1 << len(site.static_ffs)) - 1, name
+                settled += 1
+                continue
+            assert calls[0] == "encode" and "encode" not in calls[1:], name
+            if r.complete:
+                assert calls[1:] == [SAT] * (r.solves - 1) + [UNSAT], name
+            solved += 1
+    assert settled > 0 and solved > 0
+
+
+def test_probe_settles_wide_fanout_and_leaves_rare_fanout_to_the_solver():
+    """wide_fanout's probe lists all 1,023 patterns, so no solver runs;
+    rare_fanout's lists none that holds f10, and the solver finds the
+    1,024 that do."""
+    c, site = wide_fanout()
+    ((_, r, calls),) = traced_sat_sites(c, [site])
+    assert r.complete and len(r.patterns) == 1023
+    assert r.solves == 0 and calls == []
+    c, site = rare_fanout()
+    assert len(build_region(c, site.static_ffs).support) == 37
+    ((_, r, calls),) = traced_sat_sites(c, [site])
+    assert r.complete and r.solves >= 2 and calls[-1] == UNSAT
+    assert pattern_set(r) == {
+        m for size in range(1, 12) for m in combinations(site.static_ffs, size)
+    }
+    # listed in order: the probe's, then the floods of the models
+    f10 = site.static_ffs[-1]
+    assert [f10 in p.ffs.members for p in r.patterns] == [False] * 1023 + [True] * 1024
+
+
+def test_sat_engine_matches_the_oracle_on_corpus(monkeypatch):
+    """With no simulated region, every corpus site goes to the SAT engine,
+    the probe settles some of them, and each lists the oracle's patterns."""
+    monkeypatch.setattr(propagation, "SIM_SUPPORT_LIMIT", 0)
+    checked = settled = 0
+    for c in corpus(12345, 200, max_gates=40, max_ffs=8, max_pis=6):
+        sites = enumerate_fault_sites(c)
+        results = analyze_sites(c, sites)
+        for site in sites:
+            if not site.static_ffs:
+                continue
+            r = results[c.net_names[site.site_net]]
+            assert r.engine == "sat" and r.complete
+            assert pattern_set(r) == {p.ffs.members for p in exhaustive_patterns(c, site)}
+            checked += 1
+            settled += r.solves == 0
+    assert checked > 1000 and 0 < settled < checked
+
+
+def test_jobs_give_the_same_results_on_probe_settled_sites():
+    """`--jobs 1` and `--jobs 2` list the same patterns in the same order and
+    make the same solve calls on wide50, where the probe settles sites."""
+    c = make_random_circuit(7, n_pis=10, n_ffs=50, n_gates=500, n_pos=10)
+    sites = enumerate_fault_sites(c)
+    serial = analyze_sites(c, sites, jobs=1)
+    parallel = analyze_sites(c, sites, jobs=2)
+    assert list(parallel.items()) == list(serial.items())
+    assert [r.solves for r in parallel.values()] == [r.solves for r in serial.values()]
+    assert any(r.engine == "sat" and r.solves == 0 for r in serial.values())
+
+
+def test_probe_seeds_depend_on_the_support_size_alone():
+    """The probe's seeds do not read the shared generator: the same support
+    size gives the same seeds whatever state it is in."""
+    random.seed(1)
+    a = propagation._probe_seeds(37)
+    random.seed(2)
+    random.random()
+    assert propagation._probe_seeds(37) == a
+    assert len(a) == propagation.PROBE_SEEDS <= propagation.WAVE_SEEDS
+    assert all(0 <= s < 1 << 37 for s in a) and len(set(a)) > 1
+    assert propagation._probe_seeds(38) != a
 
 
 def test_neighbourhood_bits_match_scalar_simulation():
