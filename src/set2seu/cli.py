@@ -4,7 +4,7 @@ Subcommands run a prefix of the pipeline and emit that stage's artifacts;
 `report` can instead consume previously emitted stage files.  Progress
 goes to stderr, machine-readable artifacts to files / stdout.
 
-Exit codes: 0 success (overflowed sites are still sound), 2 netlist parse
+Exit codes: 0 success (overflowed sites are still sound), 2 netlist/config
 errors, 3 I/O errors, 4 missing upstream artifact.
 """
 
@@ -69,6 +69,7 @@ class RunConfig:
 def config_from_file(path: str) -> dict:
     """Flat key = value text; '#' comments; lists are comma separated."""
     values: dict = {}
+    set_on: dict[str, int] = {}   # the line that set each key
     names = {f.name for f in fields(RunConfig)}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -80,6 +81,11 @@ def config_from_file(path: str) -> dict:
         key = key.strip().replace("-", "_")
         if key not in names:
             raise ValueError(f"{path}:{lineno}: unknown config key '{key}'")
+        if key in set_on:
+            raise ValueError(
+                f"{path}:{lineno}: config key '{key}' is already set at {path}:{set_on[key]}"
+            )
+        set_on[key] = lineno
         try:
             values[key] = _coerce(key, val.strip())
         except ValueError as e:

@@ -74,6 +74,8 @@ def cone_ff_set(c: Circuit, ff_id: int) -> tuple[int, ...]:
     Equals {g : cone(g) intersects cone(ff_id)}; this is the per-cone
     upset set (worst case over the cone's nets).
     """
+    if not 0 <= ff_id < len(c.flipflops):
+        raise NetlistError(f"unknown flip-flop id {ff_id}")
     return _select(c.ff_ids, c.cone_reach[ff_id])
 
 

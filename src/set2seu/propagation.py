@@ -19,12 +19,12 @@ per support assignment, and differ only in which assignments they simulate:
   all their flip-flops, which has that same support.
 - SAT otherwise, after a flood of simulation.  A flood lists what the
   simulation of assignments near its seeds finds: one wave simulates, in
-  one batch, every assignment within HARVEST_RADIUS flips of each of at
-  most WAVE_SEEDS seeds; the lowest assignment that gives each new
-  difference vector (its witness) seeds a later wave, and the flood ends
-  when no witness is left.  The site's first flood, the probe, is seeded
-  by PROBE_SEEDS pseudo-random assignments, a function of the support size
-  alone.  When the probe lists every nonempty vector over the site's
+  one batch, each of at most WAVE_SEEDS seeds and every assignment one
+  flip away from it; the lowest assignment that gives each new difference
+  vector (its witness) seeds a later wave, and the flood ends when no
+  witness is left.  The site's first flood, the probe, is one wave of
+  pseudo-random seeds, a function of the support size alone.  When the
+  probe lists every nonempty vector over the site's
   flip-flops, or more than the cap, that list needs no proof: the site is
   settled by simulation, and no CNF is encoded (random patterns before
   deterministic search, as in ATPG; Schulz, Trischler and Sarfert,
@@ -64,7 +64,7 @@ import time
 from collections.abc import Container, Iterable
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from itertools import combinations, repeat
+from itertools import repeat
 
 from .cones import FaultSite, _select
 from .ffsets import FFSet, SetCollection
@@ -78,29 +78,19 @@ DEFAULT_CONFLICT_CAP = 10**6
 # support 16-20 costs 0.3-5 ms to sweep and simulate, against 1-2.6 ms for
 # SAT to answer its sites.
 SIM_SUPPORT_LIMIT = 16
-# Hamming radius of the ball simulated around each seed of a flood wave; the
-# ball has 1 + k + ... + C(k, radius) assignments for support k, and radius
-# 0 lists one pattern per solve call.  Measured with the flood and cube
-# blocking on wide50's largest site (support 52, 15 flip-flops, 3,047
-# patterns, same machine, best of 3): radius 0 takes 3,048 solve calls and
-# 5.1 s, radius 1 11 calls and 0.19 s, radius 2 5 calls and 1.8 s, radius 3
-# 2 calls and 45 s (one run).  Every new pattern seeds a ball, so a wider
-# ball mostly re-simulates patterns the flood has already listed.
-HARVEST_RADIUS = 1
-# Pseudo-random support assignments that seed the probe, the flood each
-# SAT-answered site starts with before any CNF is encoded; at most
-# WAVE_SEEDS, so that they are one wave.  Measured on wide100's 312
-# complete SAT-answered sites (2-vCPU Intel Xeon, Python 3.11, best of 5,
-# waves of 64): no probe and 32, 64, 128 and 256 seeds take 1.28, 1.09,
-# 1.10, 1.07 and 1.16 s and leave 312, 185, 183, 177 and 177 of them to
-# the solver.
-PROBE_SEEDS = 64
-# Most seeds one flood wave simulates; the witnesses beyond them seed later
-# waves.  A site that overflows the cap stops after the wave that passes it,
-# so a wide wave mostly simulates past the cap.  Measured on wide100's 8
-# sites over the 4,096-pattern cap (same machine, 64 probe seeds, best of
-# 5): waves of 64, 128, 256 and 512 seeds take 0.99, 1.03, 1.08 and 1.21 s,
-# unbounded waves 1.59 s; the complete sites stay at 1.10-1.18 s.
+# Most seeds a flood wave simulates, each with its k one-flip neighbours
+# (support k); the witnesses beyond them seed later waves, and the probe is
+# one wave of WAVE_SEEDS pseudo-random seeds.  On wide50's largest site
+# (support 52, 3,047 patterns, 2-vCPU x86 machine, best of 3), Hamming balls
+# of radius 0, 1, 2 and 3 took 3,048, 11, 5 and 2 solve calls and 5.1, 0.19,
+# 1.8 and 45 s (one run): a wider ball mostly re-simulates listed patterns.
+# On wide100's 312 complete SAT-answered sites (2-vCPU Intel Xeon, Python
+# 3.11, best of 5, waves of 64), no probe and probes of 32, 64, 128 and 256
+# seeds took 1.28, 1.09, 1.10, 1.07 and 1.16 s and left 312, 185, 183, 177
+# and 177 sites to the solver.  A site over the cap stops after the wave
+# that passes it: on wide100's 8 such sites (64 probe seeds), waves of 64,
+# 128, 256 and 512 seeds took 0.99, 1.03, 1.08 and 1.21 s, unbounded waves
+# 1.59 s, and the complete sites stayed at 1.10-1.18 s.
 WAVE_SEEDS = 64
 
 
@@ -327,28 +317,6 @@ def _var_mask(v: int, k: int) -> int:
     return mask
 
 
-@lru_cache(maxsize=None)
-def _flip_masks(k: int, radius: int) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
-    """The assignments within `radius` flips of a base assignment of k
-    variables, one bit each, laid out for one block of bits per base: the
-    mask of a block's used bits, the block's width, per variable the bits
-    whose assignment flips it, and per bit the variables it flips (bit j
-    for variable j).
-
-    Bit 0 flips nothing; the next bits flip each set of 1..radius variables
-    once, in `combinations` order.  A block is at least k bits wide, so
-    that it can also hold its base assignment (see `_neighbourhood_diffs`).
-    """
-    flips = [0] * k
-    offsets = []
-    for r in range(radius + 1):
-        for chosen in combinations(range(k), r):
-            for j in chosen:
-                flips[j] |= 1 << len(offsets)
-            offsets.append(sum(1 << j for j in chosen))
-    return (1 << len(offsets)) - 1, max(len(offsets), k), tuple(flips), tuple(offsets)
-
-
 def _evaluate(c: Circuit, gids: Iterable[int], values: dict[int, int], full: int) -> None:
     """Evaluate the gates `gids` in order, one bit per assignment (the bits
     of `full`): each gate's output value is stored in `values`, computed
@@ -454,22 +422,22 @@ def _difference_masks(c: Circuit, m: MiterInstance, good: dict[int, int], full: 
 
 
 def _neighbourhood_diffs(c: Circuit, m: MiterInstance, seeds: list[int]) -> tuple[list[int], int]:
-    """`_difference_masks` of the miter's site over the assignments within
-    HARVEST_RADIUS flips of each seed, and the mask of their bits.
+    """`_difference_masks` of the miter's site over every seed and its one-flip
+    neighbours, and the mask of their bits.
 
     A seed is a support assignment, bit j the value of the j-th support
-    net.  Seed s has the s-th block of bits (see `_flip_masks`), its own
-    assignment at the block's bit 0; `_ball_assignment` recovers the
-    assignment of any bit.  Packing each seed into the low bits of its block
-    gives, by one shift and mask per support net, the blocks whose seed
-    sets that net.
+    net.  Seed s has the s-th block of k + 1 bits, for support k: bit 0 of
+    the block is the seed itself, and bit j + 1 the seed with support net j
+    flipped; `_ball_assignment` recovers the assignment of any bit.
+    Packing each seed into the low bits of its block gives, by one shift
+    and mask per support net, the blocks whose seed sets that net.
     """
     k = len(m.region.support)
-    ball, width, flips, _ = _flip_masks(k, HARVEST_RADIUS)
-    rep = ((1 << width * len(seeds)) - 1) // ((1 << width) - 1)   # bit 0 of every block
-    packed = int("".join(format(seed, f"0{width}b") for seed in reversed(seeds)), 2)
+    ball = (1 << k + 1) - 1
+    rep = ((1 << (k + 1) * len(seeds)) - 1) // ball   # bit 0 of every block
+    packed = int("".join(format(seed, f"0{k + 1}b") for seed in reversed(seeds)), 2)
     full = ball * rep
-    inputs = [ball * (packed >> j & rep) ^ fl * rep for j, fl in enumerate(flips)]
+    inputs = [ball * (packed >> j & rep) ^ (2 << j) * rep for j in range(k)]
     good = _good_values(c, m.region, inputs, full)
     return _difference_masks(c, m, good, full), full
 
@@ -477,18 +445,17 @@ def _neighbourhood_diffs(c: Circuit, m: MiterInstance, seeds: list[int]) -> tupl
 def _ball_assignment(seeds: list[int], bit: int, k: int) -> int:
     """The support assignment that bit `bit` of `_neighbourhood_diffs(c, m,
     seeds)` simulates, for a support of k nets."""
-    _, width, _, offsets = _flip_masks(k, HARVEST_RADIUS)
-    s, b = divmod(bit, width)
-    return seeds[s] ^ offsets[b]
+    s, b = divmod(bit, k + 1)
+    return seeds[s] ^ (1 << b) >> 1
 
 
 def _probe_seeds(k: int) -> list[int]:
-    """The PROBE_SEEDS support assignments of k nets that seed a site's
+    """The WAVE_SEEDS support assignments of k nets that seed a site's
     probe: pseudo-random, but drawn from a generator of their own seeded by
     k alone, so that they do not depend on what ran before them in the
     process, and every `jobs` lists the same patterns."""
     rng = random.Random(k)
-    return [rng.getrandbits(k) for _ in range(PROBE_SEEDS)]
+    return [rng.getrandbits(k) for _ in range(WAVE_SEEDS)]
 
 
 def _blocking_cube(v: int, listed: Container[int], k: int) -> tuple[int, int, list[int]]:

@@ -654,6 +654,17 @@ def test_bad_config_key_rejected(tmp_path):
     assert run_cli(["run", "--config", cfg]) == EXIT_PARSE
 
 
+def test_repeated_config_key_names_both_lines(tmp_path, capsys):
+    """A key set twice, here once by its flag spelling, is refused, not
+    read as its later value."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"input = {DATA / 'wire.bench'}\npattern_cap = 8\n# note\npattern-cap = 9\n")
+    assert run_cli(["run", "--config", cfg, "--out", tmp_path / "o"]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert f"{cfg}:4: config key 'pattern_cap' is already set at {cfg}:2" in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize(
     "line, setting", [("pattern-cap = abc", "pattern_cap"), ("verbose = tru", "verbose")]
 )

@@ -88,6 +88,15 @@ def test_static_ff_set_unknown_net(wire):
         static_ff_set(wire, 99)
 
 
+@pytest.mark.parametrize("ff_id", [-1, 5])
+def test_cone_ff_set_unknown_flip_flop(b01ish, ff_id):
+    """b01ish has flip-flops 0..4: neither -1 (which would index flip-flop 4
+    from the end) nor 5 names one."""
+    assert len(b01ish.flipflops) == 5
+    with pytest.raises(NetlistError, match=f"unknown flip-flop id {ff_id}"):
+        cone_ff_set(b01ish, ff_id)
+
+
 def test_wire_site_is_ffr_terminal(wire):
     sites = enumerate_fault_sites(wire)
     assert len(sites) == 1

@@ -21,7 +21,6 @@ from set2seu.propagation import (
     _difference_masks,
     _distinct_patterns,
     _evaluate,
-    _flip_masks,
     _neighbourhood_diffs,
     _sweep,
     _var_mask,
@@ -75,16 +74,27 @@ def enumerate_with(engine, c, site, **kwargs):
 def without_probe(c, site, **kwargs):
     """The SAT engine with no probe: every pattern is found from a model."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(propagation, "PROBE_SEEDS", 0)
+        mp.setattr(propagation, "_probe_seeds", lambda k: [])
         return enumerate_patterns(c, site, **kwargs)
 
 
-def plain_sat(c, site, **kwargs):
-    """The SAT engine with no probe and a harvest radius of 0: one pattern
-    per solve call."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(propagation, "HARVEST_RADIUS", 0)
-        return without_probe(c, site, **kwargs)
+def plain_sat(c, site):
+    """The site's difference vectors as flip-flop id tuples, by a solver
+    alone: the site's own miter is encoded, and each model's exact vector
+    is blocked until the solver answers UNSAT.  No simulation, flood or
+    cube of the SAT engine takes part."""
+    f = encode_cnf(build_miter(c, site), c)
+    solver = CdclSolver(f.num_vars)
+    for cl in f.clauses:
+        solver.add_clause(cl)
+    dvars = [f.diff_vars[ff] for ff in site.static_ffs]
+    solver.add_clause(dvars)
+    found = set()
+    while (res := solver.solve()).status == SAT:
+        found.add(tuple(ff for ff, dv in zip(site.static_ffs, dvars) if res.model[dv]))
+        solver.add_clause([-dv if res.model[dv] else dv for dv in dvars])
+    assert res.status == UNSAT
+    return found
 
 
 def downstream(c, net):
@@ -728,10 +738,9 @@ def test_harvest_matches_plain_sat(circuits):
             if not site.static_ffs:
                 continue
             plain = plain_sat(c, site)
-            assert plain.solves == len(plain.patterns) + 1
             r = without_probe(c, site)
-            assert r.engine == "sat" and 1 <= r.solves <= plain.solves
-            assert outcome(r) == outcome(plain), c.net_names[site.site_net]
+            assert r.engine == "sat" and 1 <= r.solves <= len(plain) + 1
+            assert outcome(r) == (plain, True, False, False), c.net_names[site.site_net]
             checked += 1
     assert checked > 100
 
@@ -846,7 +855,7 @@ def test_listed_vector_left_unblocked_raises(b01ish, monkeypatch):
     """A blocking clause over the complement of each listed vector leaves
     them unblocked: the solver returns a listed vector, which stops the
     analysis, and the message names its flip-flops by id."""
-    monkeypatch.setattr(propagation, "PROBE_SEEDS", 0)
+    monkeypatch.setattr(propagation, "_probe_seeds", lambda k: [])
     monkeypatch.setattr(propagation, "_blocking_cube", complement)
     msg = "site 'line1': the listed vector (0, 1, 2, 3, 4) was not blocked"
     with pytest.raises(RuntimeError, match=re.escape(msg)):
@@ -982,6 +991,17 @@ def test_probe_settles_wide_fanout_and_leaves_rare_fanout_to_the_solver():
     assert [f10 in p.ffs.members for p in r.patterns] == [False] * 1023 + [True] * 1024
 
 
+def test_probe_listing_exactly_the_cap_leaves_the_site_to_the_solver():
+    """rare_fanout's probe lists 1,023 vectors: with a cap of 1,023 that is
+    not more than the cap, so the solver is asked and finds the site over
+    it; with a cap of 1,022 the probe alone overflows it."""
+    c, site = rare_fanout()
+    r = enumerate_patterns(c, site, cap=1023)
+    assert r.overflow and len(r.patterns) == 1023 and r.solves == 1
+    r = enumerate_patterns(c, site, cap=1022)
+    assert r.overflow and len(r.patterns) == 1022 and r.solves == 0
+
+
 def test_sat_engine_matches_the_oracle_on_corpus(monkeypatch):
     """With no simulated region, every corpus site goes to the SAT engine,
     the probe settles some of them, and each lists the oracle's patterns."""
@@ -1021,7 +1041,7 @@ def test_probe_seeds_depend_on_the_support_size_alone():
     random.seed(2)
     random.random()
     assert propagation._probe_seeds(37) == a
-    assert len(a) == propagation.PROBE_SEEDS <= propagation.WAVE_SEEDS
+    assert len(a) == propagation.WAVE_SEEDS
     assert all(0 <= s < 1 << 37 for s in a) and len(set(a)) > 1
     assert propagation._probe_seeds(38) != a
 
@@ -1029,8 +1049,8 @@ def test_probe_seeds_depend_on_the_support_size_alone():
 def test_neighbourhood_bits_match_scalar_simulation():
     """Bit b of one flood wave's difference masks is the difference vector,
     as `oracle.simulate` gives it, of the assignment that the flood reads
-    back as bit b's witness: a seed of the wave with some support nets of
-    the Hamming ball flipped."""
+    back as bit b's witness: a seed of the wave, or the seed with one
+    support net flipped."""
     import random
 
     rng = random.Random(5)
@@ -1041,12 +1061,11 @@ def test_neighbourhood_bits_match_scalar_simulation():
         k = len(support)
         seeds = [rng.getrandbits(k) for _ in range(3)]
         diffs, full = _neighbourhood_diffs(c, build_miter(c, site), seeds)
-        ball, width, _, _ = _flip_masks(k, propagation.HARVEST_RADIUS)
-        assert full == sum(ball << s * width for s in range(len(seeds)))
+        assert full == (1 << (k + 1) * len(seeds)) - 1
         for b in range(full.bit_length()):
             witness = _ball_assignment(seeds, b, k)
-            if b % width == 0:
-                assert witness == seeds[b // width]
+            if b % (k + 1) == 0:
+                assert witness == seeds[b // (k + 1)]
             assignment = {n: False for n in range(c.num_nets) if c.driver[n][0] != "gate"}
             assignment.update({net: bool(witness >> j & 1) for j, net in enumerate(support)})
             good = simulate(c, assignment)
@@ -1076,18 +1095,18 @@ def test_eval_gate_masked_matches_scalar_reference(kind, arity):
         assert bool(v >> i & 1) == _eval_gate(kind, [bool(i >> j & 1) for j in range(arity)])
 
 
-@pytest.mark.parametrize("radius", range(3))
+# a wave's ball has radius 1; the parameter names it in the test ids
+@pytest.mark.parametrize("radius", [1])
 @pytest.mark.parametrize("k", range(1, 7))
 def test_flip_masks_cover_the_hamming_ball_once(k, radius):
-    full, width, flips, offsets = _flip_masks(k, radius)
-    bits = full.bit_length()
-    assert full == (1 << bits) - 1 and all(fl & ~full == 0 for fl in flips)
-    assert width == max(bits, k)
-    flipped = [tuple(j for j in range(k) if flips[j] >> b & 1) for b in range(bits)]
-    assert flipped[0] == ()
+    """Each seed's block of a wave simulates every assignment within
+    `radius` flips of the seed exactly once: the seed at its bit 0, then
+    each set of flipped support nets in `combinations` order."""
+    seeds = [0, (1 << k) - 1, 0b101 & (1 << k) - 1]
     want = [m for r in range(radius + 1) for m in combinations(range(k), r)]
-    assert flipped == want
-    assert offsets == tuple(sum(1 << j for j in m) for m in want)
+    for s, seed in enumerate(seeds):
+        block = [_ball_assignment(seeds, s * len(want) + b, k) for b in range(len(want))]
+        assert [tuple(j for j in range(k) if (a ^ seed) >> j & 1) for a in block] == want
 
 
 def dimacs_vectors(text):
