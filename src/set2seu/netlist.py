@@ -451,14 +451,21 @@ def parse_bench(text: str, exclude: Iterable[str] = ()) -> Circuit:
 
 
 def to_bench(c: Circuit) -> str:
-    """Serialize back to `.bench` text (stable order: PIs, POs, FFs, gates)."""
+    """Serialize back to `.bench` text (stable order: PIs, POs, FFs, gates).
+    `.bench` names a flip-flop only by its Q net, so a flip-flop named apart
+    from it (as JSON allows) is refused rather than renamed."""
     out: list[str] = []
     for n in c.primary_inputs:
         out.append(f"INPUT({c.net_names[n]})")
     for n in c.primary_outputs:
         out.append(f"OUTPUT({c.net_names[n]})")
     for f in c.flipflops:
-        out.append(f"{c.net_names[f.q_net]} = DFF({c.net_names[f.d_net]})")
+        q = c.net_names[f.q_net]
+        if f.name != q:
+            raise NetlistError(
+                f"flip-flop '{f.name}' has Q net '{q}', and .bench names a flip-flop by its Q net"
+            )
+        out.append(f"{q} = DFF({c.net_names[f.d_net]})")
     for g in c.gates:
         args = ", ".join(c.net_names[i] for i in g.inputs)
         out.append(f"{c.net_names[g.output]} = {g.kind}({args})")

@@ -17,31 +17,30 @@ per support assignment, and differ only in which assignments they simulate:
   assignment at once, in a 2**k-bit integer.  The sites whose own regions
   have one support share one sweep of the good circuit, over the region of
   all their flip-flops, which has that same support.
-- SAT otherwise, after a flood of simulation.  A flood lists what the
-  simulation of assignments near its seeds finds: one wave simulates, in
-  one batch, each of at most WAVE_SEEDS seeds and every assignment one
-  flip away from it; the lowest assignment that gives each new difference
-  vector (its witness) seeds a later wave, and the flood ends when no
-  witness is left.  The site's first flood, the probe, is one wave of
-  pseudo-random seeds, a function of the support size alone.  When the
-  probe lists every nonempty vector over the site's
-  flip-flops, or more than the cap, that list needs no proof: the site is
-  settled by simulation, and no CNF is encoded (random patterns before
-  deterministic search, as in ATPG; Schulz, Trischler and Sarfert,
-  "SOCRATES", IEEE TCAD 1988).  Otherwise the miter is Tseitin-encoded,
-  with difference variables that compare the good and faulty values at
-  each reachable flip-flop's D pin, the probe's vectors are blocked, and
-  each model the solver finds seeds a flood (after Larrabee's fault
-  simulation of SAT-generated test vectors, IEEE TCAD 1992).  Only when it
-  ends are the flood's vectors blocked and the solver called again, so it
-  is asked only where simulation stops finding patterns.  Blocking is by
-  cubes: a new vector is widened, one flip-flop at a time, to a subcube of
-  vectors that are all listed already, and one clause over the difference
-  variables of the cube's fixed flip-flops blocks the whole cube (cube
-  enlargement as in McMillan, "Applying SAT methods in unbounded symbolic
-  model checking", CAV 2002, here only over listed vectors).  Every listed
-  vector thus comes from a concrete assignment, no unlisted vector is ever
-  blocked, and the loop ends only when the solver proves that no
+- SAT otherwise, after simulation.  The seeds (support assignments) not
+  simulated yet form one queue: first the probe's, WAVE_SEEDS pseudo-random
+  ones that depend on the support size alone, then witnesses.  A wave takes
+  at most WAVE_SEEDS seeds off the queue and simulates, in one batch, each
+  of them and every assignment one flip away from it; the lowest assignment
+  that gives each new difference vector (its witness) joins the queue.  The
+  solver is asked only when the queue is empty, so only where simulation
+  stops finding patterns.  When it first empties with every nonempty vector
+  over the site's flip-flops listed, or once more than the cap are, that
+  list needs no proof: the site is settled by simulation, and no CNF is
+  encoded (random patterns before deterministic search, as in ATPG; Schulz,
+  Trischler and Sarfert, "SOCRATES", IEEE TCAD 1988).  Otherwise the miter
+  is Tseitin-encoded, with difference variables that compare the good and
+  faulty values at each reachable flip-flop's D pin; at each empty queue,
+  the vectors listed since the last call are blocked and the solver is
+  called, and its model's assignment becomes the one seed (after Larrabee's
+  fault simulation of SAT-generated test vectors, IEEE TCAD 1992).  Blocking
+  is by cubes: a new vector is widened, one flip-flop at a time, to a
+  subcube of vectors that are all listed already, and one clause over the
+  difference variables of the cube's fixed flip-flops blocks the whole cube
+  (cube enlargement as in McMillan, "Applying SAT methods in unbounded
+  symbolic model checking", CAV 2002, here only over listed vectors).  Every
+  listed vector thus comes from a concrete assignment, no unlisted vector is
+  ever blocked, and the loop ends only when the solver proves that no
   unblocked vector is left.
 
 Both engines re-simulate only the site's faulty fan-out, and event-driven:
@@ -49,7 +48,7 @@ only the nets whose faulty value differs from the good one are kept, and a
 fan-out gate none of whose inputs differs is skipped, so a difference stops
 where it dies (as in concurrent fault simulation, Ulrich and Baker, IEEE
 Computer 1974).  One listing step serves both: each simulated batch (the
-sweep, or one flood wave) is split into classes of equal difference vectors
+sweep, or one wave) is split into classes of equal difference vectors
 at the flip-flops, and the vectors not listed yet are added.  A vector is
 one mask from the split to the blocking clause, bit j for the site's j-th
 flip-flop, decoded into flip-flop ids only for the result.  Both give the
@@ -69,7 +68,7 @@ from itertools import repeat
 from .cones import FaultSite, _select
 from .ffsets import FFSet, SetCollection
 from .netlist import GATE_KINDS, Circuit
-from .solver import UNKNOWN, UNSAT, CdclSolver, to_dimacs
+from .solver import SAT, UNKNOWN, CdclSolver, to_dimacs
 
 DEFAULT_PATTERN_CAP = 4096
 DEFAULT_CONFLICT_CAP = 10**6
@@ -495,15 +494,16 @@ def enumerate_patterns(
     own region.  Both engines simulate the miter and list each new vector
     they see, in `_canonical` order within each simulated batch.  With
     `sweep`, the one batch is every support assignment, cut after cap + 1
-    vectors.  Without it, floods whose waves are the batches (see
-    `_neighbourhood_diffs`): first the probe, from `_probe_seeds`, which
-    settles the site when it lists every nonempty vector or more than
-    `cap`; then iterated SAT, in which the vectors of the probe and of each
-    model's flood are blocked by clauses over difference variables only
-    (see `_blocking_cube`), so patterns (not models) are enumerated until
-    the solver proves none is left.  More than `cap` patterns (the
-    first `cap` are listed), or a solver budget exhaustion, yields an
-    Overflow result that falls back to the static set (sound, never wrong).
+    vectors.  Without it, the batches are waves (see `_neighbourhood_diffs`)
+    over one queue of seeds: first the probe's, from `_probe_seeds`, then
+    the witnesses of each wave's new vectors.  Only an empty queue asks the
+    solver, unless every nonempty vector is listed: the vectors listed since
+    its last call are blocked by clauses over difference variables only (see
+    `_blocking_cube`), and its model's assignment is the next seed, so
+    patterns (not models) are enumerated until the solver proves none is
+    left.  More than `cap` patterns (the first `cap` are listed), or a
+    solver budget exhaustion, yields an Overflow result that falls back to
+    the static set (sound, never wrong).
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -532,73 +532,61 @@ def enumerate_patterns(
         list_new(_difference_masks(c, m, sweep.values, full), full, limit=cap + 1)
     else:
         k = len(m.region.support)
-
-        def flood(seeds: list[int], diffs: list[int], full: int) -> list[int]:
-            """List the vectors of the flood whose first wave, the balls
-            around `seeds`, gave `diffs` over the bits of `full`, and return
-            them.  The witnesses of each wave's new vectors seed later
-            waves, at most WAVE_SEEDS a wave, until none is left, or until
-            more than `cap` vectors are listed."""
-            flooded: list[int] = []
-            pending: list[int] = []
-            while True:
-                new = list_new(diffs, full)
-                flooded += (v for v, _ in new)
-                pending += (_ball_assignment(seeds, bit, k) for _, bit in new)
-                if not pending or len(found) > cap:
-                    return flooded
+        pending = _probe_seeds(k)   # seeds not simulated yet: the probe's, then witnesses
+        unblocked: list[int] = []   # the vectors listed since the last solver call
+        own: int | None = None      # the vector of the model that seeds the next wave
+        solver = None
+        # every model's wave lists its own, unblocked vector, so the loop
+        # stops after at most cap + 1 SAT answers
+        while len(found) <= cap:
+            if pending:
                 seeds, pending = pending[:WAVE_SEEDS], pending[WAVE_SEEDS:]
                 diffs, full = _neighbourhood_diffs(c, m, seeds)
-
-        seeds = _probe_seeds(k)
-        new = flood(seeds, *_neighbourhood_diffs(c, m, seeds)) if seeds else []
-        # the probe settles a site when it lists more than cap vectors or
-        # every nonempty one; the solver answers for the others
-        if len(found) < min(cap + 1, (1 << len(ffs)) - 1):
-            f = encode_cnf(m, c)
-            solver = CdclSolver(f.num_vars)
-            for cl in f.clauses:
-                solver.add_clause(cl)
-            dvars = [f.diff_vars[ff] for ff in ffs]
-            solver.add_clause(dvars)  # some difference must be observed
-            svars = [f.good_vars[net] for net in m.region.support]
-            # every flood lists the model's own, unblocked vector, so the
-            # loop stops after at most cap + 1 SAT answers
-            while True:
-                covered: set[int] = set()
-                for v in new:
-                    if v in covered:
-                        continue
-                    base, free, cube = _blocking_cube(v, found, len(ffs))
-                    covered.update(cube)
-                    solver.add_clause(
-                        [-dv if base >> j & 1 else dv
-                         for j, dv in enumerate(dvars) if not free >> j & 1]
-                    )
-                res = solver.solve(conflict_limit=conflict_limit)
-                solves += 1
-                if res.status == UNKNOWN:
-                    unknown = True
+                if own is not None:
+                    if own != sum(1 << j for j, d in enumerate(diffs) if d & 1):
+                        raise RuntimeError(
+                            f"site '{site_name}': the SAT model's difference vector "
+                            f"{_select(ffs, own)} is not what simulating its assignment gives; "
+                            "encoding and evaluator disagree"
+                        )
+                    if own in found:  # else the solver would return it forever
+                        raise RuntimeError(
+                            f"site '{site_name}': the listed vector {_select(ffs, own)} "
+                            "was not blocked"
+                        )
+                    own = None
+                new = list_new(diffs, full)
+                unblocked += (v for v, _ in new)
+                pending += (_ball_assignment(seeds, bit, k) for _, bit in new)
+                continue
+            if solver is None:
+                if len(found) == (1 << len(ffs)) - 1:  # the probe listed every vector
                     break
-                if res.status == UNSAT:
-                    break
-                model = res.model
-                seeds = [sum(1 << j for j, v in enumerate(svars) if model[v])]
-                diffs, full = _neighbourhood_diffs(c, m, seeds)
-                own = sum(1 << j for j, dv in enumerate(dvars) if model[dv])
-                if own != sum(1 << j for j, d in enumerate(diffs) if d & 1):
-                    raise RuntimeError(
-                        f"site '{site_name}': the SAT model's difference vector "
-                        f"{_select(ffs, own)} is not what simulating its assignment gives; "
-                        "encoding and evaluator disagree"
-                    )
-                if own in found:  # else the solver would return it forever
-                    raise RuntimeError(
-                        f"site '{site_name}': the listed vector {_select(ffs, own)} was not blocked"
-                    )
-                new = flood(seeds, diffs, full)
-                if len(found) > cap:
-                    break
+                f = encode_cnf(m, c)
+                solver = CdclSolver(f.num_vars)
+                for cl in f.clauses:
+                    solver.add_clause(cl)
+                dvars = [f.diff_vars[ff] for ff in ffs]
+                solver.add_clause(dvars)  # some difference must be observed
+                svars = [f.good_vars[net] for net in m.region.support]
+            covered: set[int] = set()
+            for v in unblocked:
+                if v in covered:
+                    continue
+                base, free, cube = _blocking_cube(v, found, len(ffs))
+                covered.update(cube)
+                solver.add_clause(
+                    [-dv if base >> j & 1 else dv
+                     for j, dv in enumerate(dvars) if not free >> j & 1]
+                )
+            unblocked = []
+            res = solver.solve(conflict_limit=conflict_limit)
+            solves += 1
+            if res.status != SAT:
+                unknown = res.status == UNKNOWN
+                break
+            own = sum(1 << j for j, dv in enumerate(dvars) if res.model[dv])
+            pending = [sum(1 << j for j, v in enumerate(svars) if res.model[v])]
     overflow = unknown or len(found) > cap
     return PatternResult(
         site=site_name,

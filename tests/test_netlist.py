@@ -234,7 +234,7 @@ def _shape(c):
         (g.kind, tuple(sorted(c.net_names[i] for i in g.inputs)), c.net_names[g.output])
         for g in c.gates
     )
-    ffs = sorted((c.net_names[f.d_net], c.net_names[f.q_net]) for f in c.flipflops)
+    ffs = sorted((f.name, c.net_names[f.d_net], c.net_names[f.q_net]) for f in c.flipflops)
     pis = sorted(c.net_names[n] for n in c.primary_inputs)
     pos = sorted(c.net_names[n] for n in c.primary_outputs)
     return gates, ffs, pis, pos
@@ -246,6 +246,20 @@ def test_bench_round_trip(name, request):
     c2 = parse_bench(to_bench(c))
     assert _shape(c) == _shape(c2)
     assert c.stats() == c2.stats()
+
+
+def test_to_bench_refuses_flip_flop_named_apart_from_its_q_net():
+    # .bench would write `q0 = DFF(d0)`, which reads back as a flip-flop `q0`
+    c = circuit_from_json({
+        "nets": [{"id": 0, "name": "d0"}, {"id": 1, "name": "q0"}],
+        "gates": [],
+        "ffs": [{"id": 0, "name": "reg0", "d": 0, "q": 1}],
+        "inputs": [0],
+        "outputs": [1],
+    })
+    assert _shape(c) == _shape(circuit_from_json(circuit_to_json(c)))
+    with pytest.raises(NetlistError, match="flip-flop 'reg0' has Q net 'q0'"):
+        to_bench(c)
 
 
 def test_json_round_trip(fanout_demo):

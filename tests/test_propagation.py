@@ -1033,6 +1033,23 @@ def test_jobs_give_the_same_results_on_probe_settled_sites():
     assert any(r.engine == "sat" and r.solves == 0 for r in serial.values())
 
 
+def test_sat_engine_counts_on_wide50():
+    """wide50's SAT-engine sites, their solve calls and their patterns, as
+    the traced wide50 benchmark run counts them (40 SAT and 36 UNSAT
+    answers).  The circuit is read back from its `.bench` text, as the
+    command line reads it: net ids follow the line order, and support
+    assignments follow the net ids.  A flood or probe that stops early
+    lists fewer patterns from simulation and leaves more to the solver."""
+    c = parse_bench(to_bench(make_random_circuit(7, n_pis=10, n_ffs=50, n_gates=500, n_pos=10)))
+    results = analyze_sites(c, enumerate_fault_sites(c))
+    sat = [r for r in results.values() if r.engine == "sat"]
+    assert len(results) == 153 and len(sat) == 85
+    assert sum(r.solves == 0 for r in sat) == 49
+    assert sum(r.solves for r in sat) == 76
+    assert sum(len(r.patterns) for r in sat) == 5275
+    assert sum(len(r.patterns) for r in results.values()) == 5356
+
+
 def test_probe_seeds_depend_on_the_support_size_alone():
     """The probe's seeds do not read the shared generator: the same support
     size gives the same seeds whatever state it is in."""
